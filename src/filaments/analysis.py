@@ -6,7 +6,8 @@ initial state contains an odd number of steps (adjacent unequal pairs), and
 one under ``automaton_ii`` exactly when it has a 0 at one end but not the
 other. ``census`` brute-forces every length-n filament and checks the
 matching predictor against the simulated outcome, which turns both claims
-into machine-checked facts at desk scale.
+into machine-checked facts at desk scale. ``predictor="auto"`` picks the
+array predictor by rule content (the compiled lookup table), not by name.
 
 Growth arithmetic is exact: transition matrices for single-cell accretion
 are built from ``fractions.Fraction`` so stationarity checks are identities
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,19 +33,21 @@ from .core import Filament, Rule
 from .engine import (
     all_states_matrix,
     classify_functional_graph,
-    count_steps,
     default_horizon,
     successor_array,
 )
+from .rules import automaton_i, automaton_ii
 
 __all__ = [
     "Census",
     "CensusBudgetError",
     "GrowthMatrix",
+    "Liveness",
     "census",
     "end_zero_class",
     "end_zero_class_array",
     "growth_transition_matrix",
+    "liveness_of",
     "measure_accretion_matrix",
     "parity_class_array",
     "parity_counts",
@@ -52,14 +56,49 @@ __all__ = [
 ]
 
 
+def _odd_steps(states: np.ndarray) -> np.ndarray:
+    """Rows of ``states`` with an odd number of adjacent unequal pairs."""
+    return np.logical_xor.reduce(np.diff(states, axis=1) != 0, axis=1)
+
+
+def _one_end_zero(states: np.ndarray) -> np.ndarray:
+    """Rows of ``states`` with a 0 at exactly one end."""
+    return (states[:, 0] == 0) != (states[:, -1] == 0)
+
+
 def predict_automaton_i(filament: Filament) -> bool:
     """Liveness predictor for automaton_i: live iff the step count is odd."""
-    return count_steps(filament) % 2 == 1
+    return bool(_odd_steps(np.array([filament.cells]))[0])
 
 
 def predict_automaton_ii(filament: Filament) -> bool:
     """Liveness predictor for automaton_ii: live iff exactly one end cell is 0."""
-    return (filament[0] == 0) != (filament[-1] == 0)
+    return bool(_one_end_zero(np.array([filament.cells]))[0])
+
+
+class Liveness(NamedTuple):
+    """A rule's closed-form liveness: ``predict`` maps an (S, n) state matrix to bool[S];
+    ``sweeps`` counts the sweeps of its normal cycle, which paces population growth."""
+
+    predict: Callable[[np.ndarray], np.ndarray]
+    sweeps: int
+
+
+@cache
+def _catalogue_liveness() -> tuple[tuple[np.ndarray, Liveness], ...]:
+    return (
+        (automaton_i().lookup_table, Liveness(_odd_steps, 6)),
+        (automaton_ii().lookup_table, Liveness(_one_end_zero, 2)),
+    )
+
+
+def liveness_of(rule: Rule) -> Optional[Liveness]:
+    """The closed-form liveness of ``rule`` (None if it has none), found by
+    the shape and contents of its compiled lookup table, never by its name."""
+    for table, liveness in _catalogue_liveness():
+        if np.array_equal(table, rule.lookup_table):
+            return liveness
+    return None
 
 
 def parity_counts(n: int) -> tuple[int, int]:
@@ -115,12 +154,6 @@ class Census:
         return "\n".join(lines) + "\n"
 
 
-_PREDICTORS: dict[str, Callable[[Filament], bool]] = {
-    "automaton-i": predict_automaton_i,
-    "automaton-ii": predict_automaton_ii,
-}
-
-
 def census(
     rule: Rule,
     n: int,
@@ -130,11 +163,11 @@ def census(
 ) -> Census:
     """Classify every length-n filament and compare against a predictor.
 
-    ``predictor`` may be "auto" (pick by rule name, none for unknown
-    rules), None (skip the comparison), or a callable from Filament to
-    liveness. Enumeration is lexicographic; the functional graph over all
-    s**n states is classified in one pass, which agrees with per-state
-    cycle detection because the dynamics are deterministic.
+    ``predictor`` may be "auto" (the array predictor ``liveness_of`` finds
+    by rule content, none for unknown rules), None (skip the comparison), or
+    a callable from Filament to liveness, applied row by row. Enumeration is
+    lexicographic; the functional graph over all s**n states is classified in
+    one pass, which agrees with per-state cycle detection by determinism.
     """
     if rule.num_states**n > budget:
         raise CensusBudgetError(
@@ -142,12 +175,13 @@ def census(
         )
     if horizon is None:
         horizon = default_horizon(n)
-    if predictor == "auto":
-        predict = _PREDICTORS.get(rule.name)
-    elif callable(predictor):
-        predict = predictor
+    if callable(predictor):
+        predict_rows = np.vectorize(lambda row: predictor(Filament(row)), otypes=[bool], signature="(n)->()")
+    elif predictor == "auto":
+        liveness = liveness_of(rule)
+        predict_rows = liveness.predict if liveness is not None else None
     elif predictor is None:
-        predict = None
+        predict_rows = None
     else:
         raise ValueError(f"bad predictor {predictor!r}")
 
@@ -157,16 +191,11 @@ def census(
     live_mask = resolved & (period >= 2)
     quiescent_mask = resolved & (period == 1)
 
-    mismatches = 0
-    first_mismatch: Optional[Filament] = None
-    if predict is not None:
+    wrong = np.zeros_like(live_mask)
+    if predict_rows is not None:
         matrix = all_states_matrix(rule.num_states, n)
-        for idx in range(len(matrix)):
-            f = Filament(tuple(int(v) for v in matrix[idx]))
-            if predict(f) != bool(live_mask[idx]):
-                if first_mismatch is None:
-                    first_mismatch = f
-                mismatches += 1
+        wrong = predict_rows(matrix) != live_mask
+    first = int(wrong.argmax())  # rows run in lexicographic order
 
     return Census(
         rule_name=rule.name,
@@ -176,8 +205,8 @@ def census(
         quiescent=int(quiescent_mask.sum()),
         unresolved=int((~resolved).sum()),
         max_settle_time=int(transient.max()),
-        prediction_mismatches=mismatches,
-        first_mismatch=first_mismatch,
+        prediction_mismatches=int(wrong.sum()),
+        first_mismatch=Filament(matrix[first]) if wrong[first] else None,
     )
 
 
@@ -248,9 +277,7 @@ def growth_transition_matrix(rule_kind: str) -> GrowthMatrix:
 
 def parity_class_array(n: int) -> np.ndarray:
     """Class ids (0 = live/odd, 1 = dead/even) for all 3**n states."""
-    matrix = all_states_matrix(3, n).astype(np.int8)
-    odd = (np.diff(matrix, axis=1) != 0).sum(axis=1) % 2 == 1
-    return np.where(odd, 0, 1).astype(np.int8)
+    return np.where(_odd_steps(all_states_matrix(3, n)), 0, 1).astype(np.int8)
 
 
 def end_zero_class_array(n: int) -> np.ndarray:

@@ -225,6 +225,8 @@ class Rule:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.num_states < 1:
             raise ValueError("num_states must be at least 1")
+        if self.num_states > 255:
+            raise ValueError(f"num_states {self.num_states} > 255: cells are uint8, EMPTY is num_states")
         if self.radius < 1:
             raise ValueError("radius must be at least 1")
         if validate:

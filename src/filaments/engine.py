@@ -262,36 +262,23 @@ def successor_array(rule: Rule, n: int) -> np.ndarray:
 def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transient length and eventual period for every node at once.
 
-    ``succ`` maps each node id to its unique successor. The walk from any
-    node must land on a cycle; path compression makes the whole pass run
-    in time linear in the number of nodes.
+    ``succ`` maps each of the N node ids to its unique successor. Pointer jumping
+    (Wyllie 1979), O(N log N): after ceil(log2 N) rounds of ``jump = jump[jump]`` the
+    image of ``jump`` is exactly the cycle nodes, a running minimum in those rounds labels
+    each cycle by its smallest node, and a second pass sums "off a cycle" into transients.
     """
     total = len(succ)
-    period = np.zeros(total, dtype=np.int64)
-    transient = np.zeros(total, dtype=np.int64)
-    for start in range(total):
-        if period[start]:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        x = int(start)
-        while period[x] == 0 and x not in pos:
-            pos[x] = len(path)
-            path.append(x)
-            x = int(succ[x])
-        if period[x] != 0:
-            # Ran into territory already classified.
-            base_t = int(transient[x])
-            p = int(period[x])
-            for i in range(len(path) - 1, -1, -1):
-                y = path[i]
-                period[y] = p
-                transient[y] = base_t + (len(path) - i)
-        else:
-            # Found a brand-new cycle within this path.
-            k = pos[x]
-            p = len(path) - k
-            for i, y in enumerate(path):
-                period[y] = p
-                transient[y] = k - i if i < k else 0
+    rounds = max(total - 1, 0).bit_length()
+    jump = succ = np.asarray(succ, dtype=np.int64)
+    label = np.arange(total, dtype=np.int64)
+    for _ in range(rounds):
+        np.minimum(label, label[jump], out=label)
+        jump = jump[jump]
+    transient = np.ones(total, dtype=np.int64)  # 1 off a cycle, summed along walks below
+    transient[jump] = 0
+    period = np.bincount(label[transient == 0], minlength=total)[label[jump]]
+    hop = succ
+    for _ in range(rounds):
+        transient += transient[hop]
+        hop = hop[hop]
     return transient, period

@@ -15,17 +15,18 @@ Two liveness metrics are supported per tick. "activity" marks a filament
 live when the tick's synchronous step changed at least one cell, which
 needs no knowledge of the rule. "classification" applies the rule's
 closed-form liveness predictor to the end-of-tick state and is only
-available for rules that have one.
+available for rules that have one (``analysis.liveness_of``).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
+from .analysis import liveness_of
 from .core import Rule
 from .engine import step_array
 
@@ -43,25 +44,14 @@ __all__ = [
 
 _LIVE_METRICS = ("activity", "classification")
 
-_VECTOR_PREDICTORS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "automaton-i": lambda states: (np.diff(states.astype(np.int16), axis=1) != 0)
-    .sum(axis=1)
-    .astype(np.int64)
-    % 2
-    == 1,
-    "automaton-ii": lambda states: (states[:, 0] == 0) != (states[:, -1] == 0),
-}
-
-_DEFAULT_INTERVAL_FACTOR = {"automaton-i": 6, "automaton-ii": 2}
-
 
 @dataclass(frozen=True)
 class PopulationConfig:
     """Parameters of a population run.
 
-    ``growth_interval`` of None picks the rule's default pacing: one new
-    cell per 6*n0 ticks for automaton-i and per 2*n0 ticks for
-    automaton-ii; other rules must state an interval. With
+    ``growth_interval`` of None picks the rule's default pacing, known by
+    content: one new cell per 6*n0 ticks for automaton-i and per 2*n0 ticks
+    for automaton-ii; other rules must state an interval. With
     ``growth_rescale`` the wait before the next growth event is
     re-proportioned to the current length after each event, instead of
     staying fixed.
@@ -87,10 +77,7 @@ class PopulationConfig:
             raise ValueError("growth_interval must be at least 1")
         if self.live_metric not in _LIVE_METRICS:
             raise ValueError(f"live_metric must be one of {_LIVE_METRICS}")
-        if (
-            self.live_metric == "classification"
-            and self.rule.name not in _VECTOR_PREDICTORS
-        ):
+        if self.live_metric == "classification" and liveness_of(self.rule) is None:
             raise ValueError(
                 f"no liveness predictor is known for rule {self.rule.name!r}"
             )
@@ -98,13 +85,13 @@ class PopulationConfig:
     def resolved_growth_interval(self) -> int:
         if self.growth_interval is not None:
             return self.growth_interval
-        factor = _DEFAULT_INTERVAL_FACTOR.get(self.rule.name)
-        if factor is None:
+        liveness = liveness_of(self.rule)
+        if liveness is None:
             raise ValueError(
                 f"rule {self.rule.name!r} has no default growth interval; "
                 "set growth_interval explicitly"
             )
-        return factor * self.n0
+        return liveness.sweeps * self.n0
 
 
 @dataclass(frozen=True)
@@ -176,7 +163,7 @@ def run_population(
             raise ValueError("initial_states contains an out-of-range cell")
         states = states.copy()
 
-    predictor = _VECTOR_PREDICTORS.get(rule.name)
+    predict = liveness_of(rule).predict if config.live_metric == "classification" else None
     base_interval = config.resolved_growth_interval()
     current_interval = base_interval
     ticks_since_growth = 0
@@ -198,10 +185,7 @@ def run_population(
                 current_interval = max(
                     1, (base_interval * states.shape[1]) // config.n0
                 )
-        if config.live_metric == "activity":
-            live = activity
-        else:
-            live = predictor(states)
+        live = activity if predict is None else predict(states)
         live_rows[tick - 1] = live
         stats.append(
             PopulationStats(

@@ -15,6 +15,7 @@ from filaments.analysis import (
     end_zero_class,
     end_zero_class_array,
     growth_transition_matrix,
+    liveness_of,
     measure_accretion_matrix,
     parity_class_array,
     parity_counts,
@@ -23,7 +24,8 @@ from filaments.analysis import (
 )
 from filaments.core import Filament
 from filaments.engine import count_steps, detect_cycle
-from filaments.rules import automaton_i, automaton_ii, clock_rule
+from filaments.population import PopulationConfig
+from filaments.rules import automaton_i, automaton_ii, bouncer_rule, clock_rule, load_rule, serialize_rule
 
 
 # -- predictors ----------------------------------------------------------------
@@ -146,6 +148,36 @@ def test_census_auto_resolves_known_rules_only():
     assert c.first_mismatch is None
     assert c.live == c.total == 8
     assert c.max_settle_time == 2
+
+
+def test_predictor_follows_rule_content_not_name(tmp_path):
+    # automaton_ii saved under automaton_i's name keeps its own predictor.
+    path = tmp_path / "automaton-i.rule"
+    path.write_text(serialize_rule(automaton_ii()))
+    impostor = load_rule(str(path))
+    assert impostor.name == "automaton-i"
+    c = census(impostor, 5)
+    assert c.live == 108
+    assert c.prediction_mismatches == 0
+    assert c.first_mismatch is None
+    config = PopulationConfig(rule=impostor, m=4, total_ticks=10, seed=0)
+    assert config.resolved_growth_interval() == 2 * config.n0
+    # automaton_i under an unknown name still gets the parity predictor.
+    path = tmp_path / "mystery.rule"
+    path.write_text(serialize_rule(automaton_i()))
+    mystery = load_rule(str(path))
+    assert liveness_of(mystery).predict is liveness_of(automaton_i()).predict
+    assert census(mystery, 5).prediction_mismatches == 0
+    assert census(mystery, 5, predictor=predict_automaton_ii).prediction_mismatches > 0
+    config = PopulationConfig(rule=mystery, m=4, total_ticks=10, seed=0)
+    assert config.resolved_growth_interval() == 6 * config.n0
+    # Rules without a closed form get none, whatever they are called.
+    assert liveness_of(bouncer_rule()) is None
+    with pytest.raises(ValueError):
+        PopulationConfig(
+            rule=bouncer_rule(), m=4, total_ticks=10, seed=0, growth_interval=9,
+            live_metric="classification",
+        )
 
 
 def test_census_budget_guard():

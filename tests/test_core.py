@@ -143,6 +143,14 @@ def test_rule_validates_entry_shapes():
         Rule("bad", 2, 1, symmetric=False, entries=(RuleEntry(0, (7,), (0,), 1),))
 
 
+def test_rule_rejects_more_states_than_uint8_holds():
+    # Cells and the lookup table are uint8 and EMPTY is coded as num_states,
+    # so the bound must fire before the conflict check walks s*(s+1)**2 inputs.
+    with pytest.raises(ValueError, match="> 255"):
+        Rule("huge", 256, 1, symmetric=False, entries=(RuleEntry(0, (ANY,), (ANY,), 1),))
+    Rule("widest", 255, 1, symmetric=False, entries=(), validate=False)
+
+
 def test_admissible_neighborhoods_count():
     # Radius 1: each side is one of s real states or EMPTY.
     rule = Rule("hold", 3, 1, symmetric=False, entries=())

@@ -184,6 +184,64 @@ def test_successor_array_matches_step(rule, n):
         assert succ[state_id] == int(np.array(stepped.cells) @ powers)
 
 
+def walk_functional_graph(succ):
+    """Reference classifier: follow each unclassified node until it meets a
+    classified node or closes a new cycle, then label the whole path."""
+    total = len(succ)
+    period = np.zeros(total, dtype=np.int64)
+    transient = np.zeros(total, dtype=np.int64)
+    for start in range(total):
+        if period[start]:
+            continue
+        path, pos = [], {}
+        x = start
+        while period[x] == 0 and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            x = int(succ[x])
+        if period[x]:
+            for i, y in enumerate(path):
+                period[y] = period[x]
+                transient[y] = transient[x] + len(path) - i
+        else:
+            k = pos[x]
+            for i, y in enumerate(path):
+                period[y] = len(path) - k
+                transient[y] = max(k - i, 0)
+    return transient, period
+
+
+def assert_matches_walk(succ):
+    transient, period = classify_functional_graph(np.asarray(succ, dtype=np.int64))
+    want_transient, want_period = walk_functional_graph(succ)
+    assert transient.dtype == period.dtype == np.int64
+    assert transient.tolist() == want_transient.tolist()
+    assert period.tolist() == want_period.tolist()
+
+
+successor_lists = st.integers(1, 500).flatmap(
+    lambda size: st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(successor_lists)
+def test_classify_functional_graph_matches_walk(succ):
+    assert_matches_walk(succ)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 500])
+def test_classify_functional_graph_extremes(size):
+    assert_matches_walk([0] * size)  # a self-loop, alone at size 1, fed by all others
+    assert_matches_walk([(i + 1) % size for i in range(size)])  # one cycle through all
+    # A path of length size-1 into a fixed point needs every doubling round.
+    path = [min(i + 1, size - 1) for i in range(size)]
+    transient, period = classify_functional_graph(np.array(path))
+    assert transient.tolist() == list(range(size - 1, -1, -1))
+    assert period.tolist() == [1] * size
+    assert_matches_walk(path)
+
+
 def test_classify_functional_graph_small_example():
     # 0->1->2->1 and 3->3: transients 1,0,0,0 and periods 2,2,2,1.
     succ = np.array([1, 2, 1, 3])

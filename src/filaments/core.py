@@ -30,19 +30,22 @@ __all__ = [
     "ANY",
     "EMPTY",
     "Filament",
+    "MAX_TABLE_CELLS",
     "MaybeState",
     "Neighborhood",
     "PatternToken",
     "Rule",
     "RuleConflictError",
     "RuleEntry",
-    "match",
     "neighborhood_of",
     "token_matches",
 ]
 
 EMPTY = None
 ANY = "*"
+
+# Largest dense lookup table a rule may compile to, in uint8 cells (16 MiB).
+MAX_TABLE_CELLS = 1 << 24
 
 MaybeState = Optional[int]
 PatternToken = Union[int, None, str]
@@ -229,6 +232,12 @@ class Rule:
             raise ValueError(f"num_states {self.num_states} > 255: cells are uint8, EMPTY is num_states")
         if self.radius < 1:
             raise ValueError("radius must be at least 1")
+        cells = self.num_states * (self.num_states + 1) ** (2 * self.radius)
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"radius {self.radius} with {self.num_states} states needs a lookup table "
+                f"of {cells} cells, more than the limit of {MAX_TABLE_CELLS}"
+            )
         if validate:
             self._check_tokens()
             self._check_conflicts()
@@ -323,8 +332,3 @@ class Rule:
                 right_idx = tuple(s if v is EMPTY else v for v in nbhd.right)
                 table[(current,) + left_idx + right_idx] = self.next_state(current, nbhd)
         return table
-
-
-def match(rule: Rule, current: int, nbhd: Neighborhood) -> int:
-    """Look up the next state for one cell under ``rule``."""
-    return rule.next_state(current, nbhd)

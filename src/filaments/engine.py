@@ -34,6 +34,7 @@ __all__ = [
     "detect_cycle",
     "hamming",
     "run_trace",
+    "state_ids",
     "step",
     "step_array",
     "successor_array",
@@ -242,21 +243,28 @@ def all_states_matrix(num_states: int, n: int) -> np.ndarray:
 
     Row ``i`` is the base-``num_states`` expansion of ``i``, most
     significant digit first, so the row index doubles as a state id.
+    Column j holds each digit for a run of num_states**(n-1-j) rows, so each
+    column is written in place through a broadcast view of the uint8 result.
     """
-    total = num_states**n
-    ids = np.arange(total, dtype=np.int64)
-    cols = []
-    for pos in range(n - 1, -1, -1):
-        cols.append((ids // num_states**pos) % num_states)
-    return np.stack(cols, axis=1).astype(np.uint8)
+    matrix = np.empty((num_states**n, n), dtype=np.uint8)
+    digits = np.arange(num_states, dtype=np.uint8)[:, None]
+    for j in range(n):
+        matrix.reshape(num_states**j, num_states, num_states ** (n - 1 - j), n)[..., j] = digits
+    return matrix
+
+
+def state_ids(states: np.ndarray, num_states: int) -> np.ndarray:
+    """The state id (base-``num_states`` value) of every row of a state matrix."""
+    ids = np.zeros(len(states), dtype=np.int64)
+    for column in states.T:
+        ids *= num_states
+        ids += column
+    return ids
 
 
 def successor_array(rule: Rule, n: int) -> np.ndarray:
     """State id of the successor of every length-``n`` filament."""
-    matrix = all_states_matrix(rule.num_states, n)
-    stepped = step_array(rule, matrix).astype(np.int64)
-    powers = rule.num_states ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return stepped @ powers
+    return state_ids(step_array(rule, all_states_matrix(rule.num_states, n)), rule.num_states)
 
 
 def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,14 +15,18 @@ states and 2 for the empty boundary; bit position c*9 + l*3 + r holds the
 successor. Positions 8 and 17 are the (empty, empty) neighborhoods, which
 only a length-1 filament ever presents, so for dynamics at length 2 and
 up rules collapse into 2**16 equivalence classes ("fingerprints"). The
-scan simulates each fingerprint once over every initial state by iterated
-squaring of the one-step successor map, which classifies every state's
-cycle without bounding the transient by simulation length.
+scan simulates each fingerprint once over every initial state. Successor
+tables come from per-length tables over the 256 values of each
+fingerprint byte, split at the middle of the filament so that they stay
+small at every length. Pointer doubling over flat indices (Wyllie's list
+ranking) then walks every state 2**n steps in n rounds, which classifies
+every state's cycle without bounding the transient by simulation length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -117,23 +121,12 @@ def fingerprint16(indices: np.ndarray) -> np.ndarray:
     return ((indices & 0xFF) | ((indices >> 1) & 0xFF00)).astype(np.uint16)
 
 
-def _expand_fingerprint(fp: int) -> tuple[int, ...]:
-    """All four rule indices sharing a fingerprint."""
-    base = (fp & 0xFF) | ((fp & 0xFF00) << 1)
-    return tuple(base | (b8 << 8) | (b17 << 17) for b8 in (0, 1) for b17 in (0, 1))
-
-
 def write_rule_audit_csv(fp: IO[str]) -> None:
     """One classification row for every rule index in the space."""
     indices = np.arange(RULE_SPACE_SIZE, dtype=np.uint32)
     rows0, rows1 = _row_split(indices)
-    const0 = (rows0 == 0) | (rows0 == 0x1FF)
-    const1 = (rows1 == 0) | (rows1 == 0x1FF)
-    oblivious = const0 | const1
+    interesting = interesting_mask()
     strongly_connected = (rows0 != 0) & (rows1 != 0x1FF)
-    min_out_degree = np.where(const0 | const1, 1, 2)
-    interesting = ~oblivious
-    fps = fingerprint16(indices)
     fp.write(
         "index,row0,row1,oblivious,strongly_connected,min_out_degree,"
         "interesting,fingerprint\n"
@@ -143,17 +136,17 @@ def write_rule_audit_csv(fp: IO[str]) -> None:
             indices,
             rows0,
             rows1,
-            oblivious.astype(np.uint8),
+            (~interesting).astype(np.uint8),
             strongly_connected.astype(np.uint8),
-            min_out_degree,
+            np.where(interesting, 2, 1),
             interesting.astype(np.uint8),
-            fps,
+            fingerprint16(indices),
         ]
     )
     np.savetxt(fp, data, fmt="%d", delimiter=",")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchWitness:
     """One rule caught sustaining a small-change cycle.
 
@@ -222,26 +215,50 @@ class SearchVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _bit_span(values: np.ndarray) -> np.ndarray:
-    """Width in bits from lowest to highest set bit; 0 for zero values."""
-    vals = values.astype(np.int64)
-    hi = np.frexp(vals.astype(np.float64))[1]
-    lo = np.frexp((vals & -vals).astype(np.float64))[1]
-    return np.where(vals > 0, hi - lo + 1, 0)
+# States per doubling chunk: 512 KB per int64 working array, so the gathers stay in cache.
+_CHUNK_CELLS = 1 << 16
 
 
-@dataclass
-class _FingerprintFlags:
-    """Per-fingerprint scan outcome, filled in length order."""
+@cache
+def _byte_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successor bits of each half of a length-n state under every fingerprint byte.
 
-    type_a: np.ndarray
-    travelling: np.ndarray
-    sweeping: np.ndarray
-    witness_n: np.ndarray
-    witness_state: np.ndarray
-    witness_k_max: np.ndarray
-    witness_travelling: np.ndarray
-    witness_sweeping: np.ndarray
+    The first n//2 cells (head) and the rest (tail) each see one cell of the
+    other half, so each half's successor is a function of a window one cell
+    wider. (head, tail)[c, b, w] holds the bits that the half's cells in
+    state c take in window w under fingerprint byte b.
+    """
+    head = n // 2
+    tables = []
+    for width, cols in ((head + 1, range(head)), (n - head + 1, range(1, n - head + 1))):
+        cells = all_states_matrix(2, width)
+        padded = np.pad(cells, ((0, 0), (1, 1)), constant_values=2)
+        code = padded[:, :-2] * 3 + padded[:, 2:]
+        table = np.zeros((2, 256, 1 << width), dtype=np.uint16)
+        byte = np.arange(256, dtype=np.uint16)[:, None]
+        for shift, col in enumerate(reversed(cols)):
+            bit = ((byte >> code[:, col]) & 1) << shift
+            for c in range(2):
+                table[c] |= bit * (cells[:, col] == c)
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _successor_table(fps: np.ndarray, n: int) -> np.ndarray:
+    """Successor state id of every length-n state under each fingerprint: (len(fps), 2**n).
+
+    A cell in state c reads fingerprint bit c*8 + l*3 + r, so its next bit
+    depends on one byte of the fingerprint. The half windows overlap in the
+    two middle cells, so the halves meet in a broadcast over (head cells
+    but the last, last head cell, first tail cell, tail cells but the first).
+    """
+    head, tail = _byte_tables(n)
+    head_bits, tail_bits = n // 2, n - n // 2
+    low, high = fps & 0xFF, fps >> 8
+    shape = (len(fps), 1 << (head_bits - 1), 2, 2, 1 << (tail_bits - 1))
+    heads = (head[0][low] | head[1][high]).astype(np.int64).reshape(shape[:4] + (1,)) << tail_bits
+    tails = (tail[0][low] | tail[1][high]).reshape((len(fps), 1) + shape[2:])
+    return (heads | tails).reshape(len(fps), 1 << n)
 
 
 def _scan_length(
@@ -249,7 +266,6 @@ def _scan_length(
     n: int,
     k_a: int,
     starts: Optional[np.ndarray],
-    chunk_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flag fingerprints with Type-A cycles at one length.
 
@@ -257,16 +273,19 @@ def _scan_length(
     witness_k_max, witness_sweeping) over the fps array. With ``starts``
     the flags only count cycles reachable from those initial states;
     otherwise coverage is every length-n state.
+
+    Fingerprints go through in chunks of about ``_CHUNK_CELLS`` states.
+    Every state of a chunk gets a flat index, row * 2**n + state, so one
+    doubling pass is n rounds of 1-D gathers. A per-state word carries the
+    cells changed along the walk in its low n bits and, above them, the
+    step Hamming weights as thermometer codes, so that one OR per round
+    tracks both the union of changed cells and the largest step. After n
+    rounds each state's walk has reached its cycle and covered the cycle
+    in full; the cycle nodes are the walk's image.
     """
     size = 1 << n
-    cells = all_states_matrix(2, n)
-    left = np.full_like(cells, 2)
-    left[:, 1:] = cells[:, :-1]
-    right = np.full_like(cells, 2)
-    right[:, :-1] = cells[:, 1:]
-    pos16 = (cells.astype(np.uint16) * 8 + left * 3 + right).astype(np.uint16)
-    shifts = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)).astype(np.int32)
-    state_ids = np.arange(size, dtype=np.int32)
+    rows = max(1, _CHUNK_CELLS >> n)
+    state_ids = np.arange(size, dtype=np.int64)
 
     has_ta = np.zeros(len(fps), dtype=bool)
     has_trav = np.zeros(len(fps), dtype=bool)
@@ -275,36 +294,25 @@ def _scan_length(
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
     wit_sweep = np.zeros(len(fps), dtype=bool)
 
-    for start in range(0, len(fps), chunk_size):
-        batch = fps[start : start + chunk_size].astype(np.uint32)
-        rows = np.arange(len(batch))[:, None]
-        t = np.zeros((len(batch), size), dtype=np.int32)
-        for i in range(n):
-            bits = (batch[:, None] >> pos16[None, :, i]) & 1
-            t += bits.astype(np.int32) * shifts[i]
-
-        f = t.copy()
+    for start in range(0, len(fps), rows):
+        batch = fps[start : start + rows]
+        t = _successor_table(batch, n)
+        diff = t ^ state_ids
+        word = (diff | (((1 << np.bitwise_count(diff).astype(np.int64)) - 1) << n)).ravel()
+        walk = (t + (np.arange(len(batch), dtype=np.int64) * size)[:, None]).ravel()
         for _ in range(n):
-            f = np.take_along_axis(f, f, axis=1)
-        on_cycle = np.zeros((len(batch), size), dtype=bool)
-        np.put_along_axis(on_cycle, f, True, axis=1)
-        if starts is not None:
-            reached = np.zeros((len(batch), size), dtype=bool)
-            np.put_along_axis(reached, f[:, starts], True, axis=1)
-            on_cycle &= reached
-
-        ham = np.bitwise_count(state_ids[None, :] ^ t).astype(np.int8)
-        diff = (state_ids[None, :] ^ t).astype(np.int32)
-        max_ham = ham.copy()
-        union = diff.copy()
-        walk = t.copy()
-        for _ in range(n):
-            max_ham = np.maximum(max_ham, np.take_along_axis(max_ham, walk, axis=1))
-            union |= np.take_along_axis(union, walk, axis=1)
-            walk = np.take_along_axis(walk, walk, axis=1)
+            word |= word[walk]
+            walk = walk[walk]
+        on_cycle = np.zeros(len(batch) * size, dtype=bool)
+        on_cycle[walk if starts is None else walk.reshape(len(batch), size)[:, starts]] = True
+        on_cycle = on_cycle.reshape(len(batch), size)
+        word = word.reshape(len(batch), size)
+        max_ham = np.bitwise_count(word >> n).astype(np.int8)
+        union = word & (size - 1)
 
         type_a_nodes = on_cycle & (max_ham >= 1) & (max_ham <= k_a)
-        trav_nodes = type_a_nodes & (_bit_span(union) > k_a)
+        # The changed cells span more than k_a positions.
+        trav_nodes = type_a_nodes & (union >= (union & -union) << k_a)
         sweep_nodes = type_a_nodes & (np.bitwise_count(union) == n)
         batch_ta = type_a_nodes.any(axis=1)
         batch_trav = trav_nodes.any(axis=1)
@@ -321,7 +329,7 @@ def _scan_length(
         has_trav[sl] = batch_trav
         has_sweep[sl] = batch_sweep
         wit_state[sl] = np.where(batch_ta, first, -1)
-        wit_kmax[sl] = np.where(batch_ta, max_ham[rows[:, 0], first], 0)
+        wit_kmax[sl] = np.where(batch_ta, max_ham[np.arange(len(batch)), first], 0)
         wit_sweep[sl] = batch_sweep
     return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_sweep
 
@@ -329,31 +337,24 @@ def _scan_length(
 def _witness_periods(fps: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
     """Cycle periods of one cycle state per fingerprint, walked in lockstep."""
     size = 1 << n
-    cells = all_states_matrix(2, n)
-    left = np.full_like(cells, 2)
-    left[:, 1:] = cells[:, :-1]
-    right = np.full_like(cells, 2)
-    right[:, :-1] = cells[:, 1:]
-    pos16 = (cells.astype(np.uint16) * 8 + left * 3 + right).astype(np.uint16)
-    shifts = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)).astype(np.int32)
-    t = np.zeros((len(fps), size), dtype=np.int32)
-    batch = fps.astype(np.uint32)
-    for i in range(n):
-        bits = (batch[:, None] >> pos16[None, :, i]) & 1
-        t += bits.astype(np.int32) * shifts[i]
-    rows = np.arange(len(fps))
+    rows = max(1, _CHUNK_CELLS >> n)
     periods = np.zeros(len(fps), dtype=np.int64)
-    cur = t[rows, states]
-    step = 1
-    open_mask = np.ones(len(fps), dtype=bool)
-    while open_mask.any():
-        closed = open_mask & (cur == states)
-        periods[closed] = step
-        open_mask &= ~closed
-        if step > size:
-            raise AssertionError("walked past the state count without closing")
-        cur[open_mask] = t[rows[open_mask], cur[open_mask]]
-        step += 1
+    for start in range(0, len(fps), rows):
+        sl = slice(start, start + rows)
+        t = _successor_table(fps[sl], n).ravel()
+        home = states[sl]
+        base = np.arange(len(home), dtype=np.int64) << n
+        cur = t[base + home]
+        step = 1
+        open_mask = np.ones(len(home), dtype=bool)
+        while open_mask.any():
+            closed = open_mask & (cur == home)
+            periods[sl][closed] = step
+            open_mask &= ~closed
+            if step > size:
+                raise AssertionError("walked past the state count without closing")
+            cur[open_mask] = t[base[open_mask] + cur[open_mask]]
+            step += 1
     return periods
 
 
@@ -364,7 +365,6 @@ def search_type_a(
     sample_size: int = 4096,
     seed: int = 0,
     rule_indices: Optional[Sequence[int]] = None,
-    chunk_size: int = 4096,
 ) -> SearchVerdict:
     """Scan interesting two-state radius-1 rules for Type-A cycles.
 
@@ -383,20 +383,13 @@ def search_type_a(
         restricted = np.zeros(RULE_SPACE_SIZE, dtype=bool)
         restricted[np.asarray(rule_indices, dtype=np.int64)] = True
         mask &= restricted
-    indices = np.flatnonzero(mask)
-    fps_all = fingerprint16(indices)
-    fps = np.unique(fps_all)
+    fps = np.unique(fingerprint16(np.flatnonzero(mask)))
 
-    flags = _FingerprintFlags(
-        type_a=np.zeros(len(fps), dtype=bool),
-        travelling=np.zeros(len(fps), dtype=bool),
-        sweeping=np.zeros(len(fps), dtype=bool),
-        witness_n=np.zeros(len(fps), dtype=np.int64),
-        witness_state=np.full(len(fps), -1, dtype=np.int64),
-        witness_k_max=np.zeros(len(fps), dtype=np.int8),
-        witness_travelling=np.zeros(len(fps), dtype=bool),
-        witness_sweeping=np.zeros(len(fps), dtype=bool),
-    )
+    # Per fingerprint: Type-A, travelling and sweeping at any length, and the
+    # witness found at the first length with one (n, state, k_max,
+    # travelling, sweeping).
+    type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
+    witness = np.zeros((5, len(fps)), dtype=np.int64)
     coverage = []
     complete = True
     rng = np.random.default_rng(seed)
@@ -414,55 +407,46 @@ def search_type_a(
             ).astype(np.int64)
             coverage.append((n, "sampled"))
             complete = False
-        chunk = max(1, min(chunk_size, (1 << 23) // (1 << n)))
-        has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_sweep = _scan_length(
-            fps, n, k_a, starts, chunk
-        )
-        newly = has_ta & ~flags.type_a
-        flags.witness_n[newly] = n
-        flags.witness_state[newly] = wit_state[newly]
-        flags.witness_k_max[newly] = wit_kmax[newly]
-        flags.witness_travelling[newly] = has_trav[newly]
-        flags.witness_sweeping[newly] = wit_sweep[newly]
+        ta, trav, sweep, state, k_max, w_sweep = _scan_length(fps, n, k_a, starts)
+        newly = ta & ~type_a
+        witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, w_sweep])[:, newly]
         # Flags found at later lengths still count, but the stored witness
         # stays the first one.
-        flags.type_a |= has_ta
-        flags.travelling |= has_trav
-        flags.sweeping |= has_sweep
+        type_a |= ta
+        travelling |= trav
+        sweeping |= sweep
 
-    witnesses = []
-    ta_rules: set[int] = set()
-    trav_rules: set[int] = set()
-    sweep_rules: set[int] = set()
-    flagged = np.flatnonzero(flags.type_a)
-    for n in sorted(set(flags.witness_n[flagged].tolist())):
-        group = flagged[flags.witness_n[flagged] == n]
-        periods = _witness_periods(fps[group], flags.witness_state[group], n)
-        for j, fi in enumerate(group.tolist()):
-            fp = int(fps[fi])
-            members = [
-                idx for idx in _expand_fingerprint(fp) if mask[idx]
-            ]
-            ta_rules.update(members)
-            if flags.travelling[fi]:
-                trav_rules.update(members)
-            if flags.sweeping[fi]:
-                sweep_rules.update(members)
-            state = int(flags.witness_state[fi])
-            initial = format(state, f"0{n}b")
-            for idx in members:
-                witnesses.append(
-                    SearchWitness(
-                        rule_index=idx,
-                        n=int(n),
-                        initial=initial,
-                        period=int(periods[j]),
-                        k_max=int(flags.witness_k_max[fi]),
-                        travelling=bool(flags.witness_travelling[fi]),
-                        sweeping=bool(flags.witness_sweeping[fi]),
-                    )
-                )
-    witnesses.sort(key=lambda w: w.rule_index)
+    flagged = np.flatnonzero(type_a)
+    wit_n, wit_state, wit_kmax, wit_trav, wit_sweep = witness[:, flagged]
+    periods = np.zeros(len(flagged), dtype=np.int64)
+    for n in np.unique(wit_n).tolist():
+        at_n = wit_n == n
+        periods[at_n] = _witness_periods(fps[flagged[at_n]], wit_state[at_n], n)
+    # The interesting members of each flagged fingerprint: its four indices
+    # differ in bits 8 and 17, the (empty, empty) entries.
+    fp = fps[flagged].astype(np.int64)
+    members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
+    owner = np.broadcast_to(np.arange(len(flagged))[:, None], members.shape)[mask[members]]
+    members = members[mask[members]]
+    order = np.argsort(members)
+    members, owner = members[order], owner[order]
+    # One tuple of witness fields per fingerprint, shared by its members.
+    shared = list(
+        zip(
+            wit_n.tolist(),
+            [format(s, f"0{n}b") for s, n in zip(wit_state.tolist(), wit_n.tolist())],
+            periods.tolist(),
+            wit_kmax.tolist(),
+            wit_trav.astype(bool).tolist(),
+            wit_sweep.astype(bool).tolist(),
+        )
+    )
+    block = 1 << 14  # index lists made per block stay small
+    witnesses = tuple(
+        SearchWitness(index, *shared[i])
+        for b in range(0, len(members), block)
+        for index, i in zip(members[b : b + block].tolist(), owner[b : b + block].tolist())
+    )
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
@@ -473,10 +457,10 @@ def search_type_a(
         rules_total=RULE_SPACE_SIZE if rule_indices is None else len(rule_indices),
         rules_interesting=int(mask.sum()),
         fingerprints_simulated=len(fps),
-        rules_with_type_a_cycle=len(ta_rules),
-        rules_with_travelling_type_a_cycle=len(trav_rules),
-        rules_with_sweeping_type_a_cycle=len(sweep_rules),
-        witnesses=tuple(witnesses),
+        rules_with_type_a_cycle=len(members),
+        rules_with_travelling_type_a_cycle=int(travelling[flagged][owner].sum()),
+        rules_with_sweeping_type_a_cycle=int(sweeping[flagged][owner].sum()),
+        witnesses=witnesses,
         complete=complete,
     )
 

@@ -12,8 +12,8 @@ from filaments.core import (
     Neighborhood,
     Rule,
     RuleConflictError,
+    MAX_TABLE_CELLS,
     RuleEntry,
-    match,
     neighborhood_of,
     token_matches,
 )
@@ -151,6 +151,15 @@ def test_rule_rejects_more_states_than_uint8_holds():
     Rule("widest", 255, 1, symmetric=False, entries=(), validate=False)
 
 
+def test_rule_rejects_radius_whose_table_is_too_large():
+    # 2 * 3**26 cells; the bound must fire before the conflict check walks
+    # the 3**26 admissible neighborhoods.
+    with pytest.raises(ValueError, match="more than the limit"):
+        Rule("wide", 2, 13, symmetric=False, entries=())
+    assert 2 * 3**26 > MAX_TABLE_CELLS >= 2 * 3**14
+    Rule("widest", 2, 7, symmetric=False, entries=(), validate=False)
+
+
 def test_admissible_neighborhoods_count():
     # Radius 1: each side is one of s real states or EMPTY.
     rule = Rule("hold", 3, 1, symmetric=False, entries=())
@@ -175,10 +184,10 @@ def test_lookup_table_agrees_with_interpreter(rule):
             assert table[(current,) + left + right] == rule.next_state(current, nb)
 
 
-def test_match_is_next_state():
+def test_next_state_at_an_end_cell():
     rule = automaton_i()
     nb = Neighborhood(1, (EMPTY,), (1,))
-    assert match(rule, 0, nb) == rule.next_state(0, nb) == 2
+    assert rule.next_state(0, nb) == 2
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))

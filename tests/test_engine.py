@@ -1,5 +1,7 @@
 """Evolution, cycle detection, and whole-state-space classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from filaments.engine import (
     detect_cycle,
     hamming,
     run_trace,
+    state_ids,
     step,
     step_array,
     successor_array,
@@ -171,6 +174,26 @@ def test_all_states_matrix_is_base_expansion():
     assert m[8].tolist() == [2, 2]
     m2 = all_states_matrix(2, 3)
     assert m2[6].tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 1), (2, 7), (3, 5), (5, 3)])
+def test_all_states_matrix_rows_are_digits_and_ids_invert_them(s, n):
+    m = all_states_matrix(s, n)
+    ids = np.arange(s**n)
+    digits = [(ids // s**p) % s for p in range(n - 1, -1, -1)]
+    assert m.dtype == np.uint8
+    assert (m == np.stack(digits, axis=1)).all()
+    assert (state_ids(m, s) == ids).all()
+
+
+def test_all_states_matrix_peak_memory_is_about_its_result():
+    tracemalloc.start()
+    try:
+        m = all_states_matrix(3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m.nbytes
 
 
 @pytest.mark.parametrize("rule,n", [(automaton_i(), 4), (bouncer_rule(), 6)])

@@ -1,6 +1,7 @@
 """Exhaustive two-state scan machinery and the three-state viability hunt."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filaments.core import Filament
-from filaments.engine import detect_cycle, run_trace
+from filaments import search
+from filaments.core import Filament, neighborhood_of
+from filaments.engine import all_states_matrix, detect_cycle, run_trace
 from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule
 from filaments.search import (
     RULE_SPACE_SIZE,
@@ -200,6 +202,157 @@ def test_scan_report_mentions_the_headline_numbers():
     text = verdict.report()
     assert "rules_total: 4" in text
     assert "witnesses: 0" in text
+
+
+def test_scan_memory_stays_bounded_at_length_twenty():
+    # At n=20 a chunk is one 2**20-state row; a kernel that holds eight
+    # such rows at once peaks near 410 MB on this call.
+    tracemalloc.start()
+    try:
+        verdict = search_type_a(lengths=(20,), rule_indices=[4039, 91, 152905, 148324])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.coverage == ((20, "sampled"),)
+    assert {w.rule_index for w in verdict.witnesses} == {148324, 152905}
+    assert peak < 100 * 2**20
+
+
+# -- the scan kernel against references ------------------------------------------
+
+
+def _bit_span(values):
+    """Width in bits from lowest to highest set bit; 0 for zero values."""
+    vals = values.astype(np.int64)
+    hi = np.frexp(vals.astype(np.float64))[1]
+    lo = np.frexp((vals & -vals).astype(np.float64))[1]
+    return np.where(vals > 0, hi - lo + 1, 0)
+
+
+def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
+    """The scan kernel as first written: 2-D tables, two doubling loops."""
+    size = 1 << n
+    cells = all_states_matrix(2, n)
+    left = np.full_like(cells, 2)
+    left[:, 1:] = cells[:, :-1]
+    right = np.full_like(cells, 2)
+    right[:, :-1] = cells[:, 1:]
+    pos16 = (cells.astype(np.uint16) * 8 + left * 3 + right).astype(np.uint16)
+    shifts = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)).astype(np.int32)
+    state_ids = np.arange(size, dtype=np.int32)
+
+    has_ta = np.zeros(len(fps), dtype=bool)
+    has_trav = np.zeros(len(fps), dtype=bool)
+    has_sweep = np.zeros(len(fps), dtype=bool)
+    wit_state = np.full(len(fps), -1, dtype=np.int64)
+    wit_kmax = np.zeros(len(fps), dtype=np.int8)
+    wit_sweep = np.zeros(len(fps), dtype=bool)
+
+    for start in range(0, len(fps), chunk_size):
+        batch = fps[start : start + chunk_size].astype(np.uint32)
+        rows = np.arange(len(batch))[:, None]
+        t = np.zeros((len(batch), size), dtype=np.int32)
+        for i in range(n):
+            bits = (batch[:, None] >> pos16[None, :, i]) & 1
+            t += bits.astype(np.int32) * shifts[i]
+
+        f = t.copy()
+        for _ in range(n):
+            f = np.take_along_axis(f, f, axis=1)
+        on_cycle = np.zeros((len(batch), size), dtype=bool)
+        np.put_along_axis(on_cycle, f, True, axis=1)
+        if starts is not None:
+            reached = np.zeros((len(batch), size), dtype=bool)
+            np.put_along_axis(reached, f[:, starts], True, axis=1)
+            on_cycle &= reached
+
+        ham = np.bitwise_count(state_ids[None, :] ^ t).astype(np.int8)
+        diff = (state_ids[None, :] ^ t).astype(np.int32)
+        max_ham = ham.copy()
+        union = diff.copy()
+        walk = t.copy()
+        for _ in range(n):
+            max_ham = np.maximum(max_ham, np.take_along_axis(max_ham, walk, axis=1))
+            union |= np.take_along_axis(union, walk, axis=1)
+            walk = np.take_along_axis(walk, walk, axis=1)
+
+        type_a_nodes = on_cycle & (max_ham >= 1) & (max_ham <= k_a)
+        trav_nodes = type_a_nodes & (_bit_span(union) > k_a)
+        sweep_nodes = type_a_nodes & (np.bitwise_count(union) == n)
+        batch_ta = type_a_nodes.any(axis=1)
+        batch_trav = trav_nodes.any(axis=1)
+        batch_sweep = sweep_nodes.any(axis=1)
+        pick_from = np.where(
+            batch_sweep[:, None],
+            sweep_nodes,
+            np.where(batch_trav[:, None], trav_nodes, type_a_nodes),
+        )
+        first = np.argmax(pick_from, axis=1)
+        sl = slice(start, start + len(batch))
+        has_ta[sl] = batch_ta
+        has_trav[sl] = batch_trav
+        has_sweep[sl] = batch_sweep
+        wit_state[sl] = np.where(batch_ta, first, -1)
+        wit_kmax[sl] = np.where(batch_ta, max_ham[rows[:, 0], first], 0)
+        wit_sweep[sl] = batch_sweep
+    return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_sweep
+
+
+def assert_scan_matches_reference(fps, n, k_a, starts):
+    got = search._scan_length(fps, n, k_a, starts)
+    want = reference_scan_length(fps, n, k_a, starts)
+    names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state",
+             "witness_k_max", "witness_sweeping")
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("chunk_cells", [1 << 16, 1 << 7])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_scan_length_matches_the_reference(n, chunk_cells, monkeypatch):
+    # A small cell budget forces many chunks, and one row per chunk from n=7 on.
+    monkeypatch.setattr(search, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(n)
+    drawn = rng.integers(0, 1 << 16, size=max(24, 2400 >> n))
+    fps = np.unique(np.concatenate([[0, 0xFFFF], drawn])).astype(np.uint16)
+    starts = np.unique(rng.integers(0, 1 << n, size=max(1, (1 << n) // 4)))
+    for k_a in (1, 2):
+        assert_scan_matches_reference(fps, n, k_a, None)
+        assert_scan_matches_reference(fps, n, k_a, starts)
+
+
+@given(
+    st.integers(2, 8),
+    st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=12, unique=True),
+    st.integers(1, 4),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_length_matches_the_reference_on_drawn_fingerprints(n, fps, k_a, data):
+    starts = data.draw(
+        st.none() | st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True).map(sorted)
+    )
+    starts = None if starts is None else np.array(starts, dtype=np.int64)
+    assert_scan_matches_reference(np.array(sorted(fps), dtype=np.uint16), n, k_a, starts)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_successor_table_matches_the_scalar_interpreter(n):
+    # At n=2 both cells are end cells; the (empty, empty) bits 8 and 17 are
+    # set at random, since no filament of two or more cells reads them.
+    rng = np.random.default_rng(100 + n)
+    fps = [0, 0xFFFF] + rng.integers(0, 1 << 16, size=6).tolist()
+    table = search._successor_table(np.array(fps, dtype=np.uint16), n)
+    assert table.shape == (len(fps), 1 << n)
+    for row, fp in zip(table.tolist(), fps):
+        index = (fp & 0xFF) | ((fp & 0xFF00) << 1) | int(rng.integers(0, 2)) << 8
+        rule = rule_from_index(index | int(rng.integers(0, 2)) << 17)
+        assert int(fingerprint16(np.array([rule_index(rule)]))[0]) == fp
+        for state in range(1 << n):
+            f = Filament.from_string(format(state, f"0{n}b"))
+            nxt = [rule.next_state(c, neighborhood_of(f, i, 1)) for i, c in enumerate(f.cells)]
+            assert row[state] == int("".join(map(str, nxt)), 2)
 
 
 # -- the hunt ---------------------------------------------------------------------

@@ -266,11 +266,12 @@ def _scan_length(
     n: int,
     k_a: int,
     starts: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flag fingerprints with Type-A cycles at one length.
 
     Returns (has_type_a, has_travelling, has_sweeping, witness_state,
-    witness_k_max, witness_sweeping) over the fps array. With ``starts``
+    witness_k_max) over the fps array; a fingerprint's witness is sweeping
+    exactly when it has a sweeping cycle. With ``starts``
     the flags only count cycles reachable from those initial states;
     otherwise coverage is every length-n state.
 
@@ -292,7 +293,6 @@ def _scan_length(
     has_sweep = np.zeros(len(fps), dtype=bool)
     wit_state = np.full(len(fps), -1, dtype=np.int64)
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
-    wit_sweep = np.zeros(len(fps), dtype=bool)
 
     for start in range(0, len(fps), rows):
         batch = fps[start : start + rows]
@@ -330,8 +330,7 @@ def _scan_length(
         has_sweep[sl] = batch_sweep
         wit_state[sl] = np.where(batch_ta, first, -1)
         wit_kmax[sl] = np.where(batch_ta, max_ham[np.arange(len(batch)), first], 0)
-        wit_sweep[sl] = batch_sweep
-    return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_sweep
+    return has_ta, has_trav, has_sweep, wit_state, wit_kmax
 
 
 def _witness_periods(fps: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
@@ -407,9 +406,9 @@ def search_type_a(
             ).astype(np.int64)
             coverage.append((n, "sampled"))
             complete = False
-        ta, trav, sweep, state, k_max, w_sweep = _scan_length(fps, n, k_a, starts)
+        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a, starts)
         newly = ta & ~type_a
-        witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, w_sweep])[:, newly]
+        witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, sweep])[:, newly]
         # Flags found at later lengths still count, but the stored witness
         # stays the first one.
         type_a |= ta
@@ -509,36 +508,24 @@ def enumerate_sweep_params() -> Iterator[SweepParams]:
         yield SweepParams(bulk=(b0, b1, b2), end=(e0, e1, e2))
 
 
-def _sweep_table(params: SweepParams) -> np.ndarray:
-    """Dense (3, 4, 4) next-state table, code 3 for the empty boundary."""
-    table = np.empty((3, 4, 4), dtype=np.uint8)
-    for c in range(3):
-        table[c] = c
-        if params.bulk[c] is not None:
-            v, w = params.bulk[c]
-            table[c, v, 0:3] = w
-            table[c, 0:3, v] = w
-        if params.end[c] is not None:
-            u, z = params.end[c]
-            table[c, 3, u] = z
-            table[c, u, 3] = z
-    return table
-
-
-def _table_interesting(table: np.ndarray) -> bool:
-    succ = [set(table[c].ravel().tolist()) for c in range(3)]
-    if any(len(s) == 1 for s in succ):
-        return False
-    if min(len(s) for s in succ) < 2:
-        return False
-    adj = [[d in succ[c] for d in range(3)] for c in range(3)]
-    for _ in range(3):
-        for a in range(3):
-            for b in range(3):
-                if adj[a][b]:
-                    for d in range(3):
-                        adj[a][d] = adj[a][d] or adj[b][d]
-    return all(adj[a][b] for a in range(3) for b in range(3))
+def _sweep_tables(params: Sequence[SweepParams]) -> np.ndarray:
+    """Dense (len(params), 3, 4, 4) next-state tables, code 3 for the empty boundary."""
+    slots = (None,) + tuple(product(range(3), range(3)))
+    # planes[c, i, j]: the (4, 4) plane of state c under bulk slot i and end slot j.
+    planes = np.empty((3, len(slots), len(slots), 4, 4), dtype=np.uint8)
+    for c, (i, bulk), (j, end) in product(range(3), enumerate(slots), enumerate(slots)):
+        plane = planes[c, i, j]
+        plane[:] = c
+        if bulk is not None:
+            v, w = bulk
+            plane[v, 0:3] = plane[0:3, v] = w
+        if end is not None:
+            u, z = end
+            plane[3, u] = plane[u, 3] = z
+    slot = {s: i for i, s in enumerate(slots)}
+    picks = np.fromiter((slot[s] for p in params for s in p.bulk + p.end), np.intp, 6 * len(params))
+    picks = picks.reshape(len(params), 2, 3)
+    return planes[np.arange(3), picks[:, 0], picks[:, 1]]
 
 
 def sweep_rule(params: SweepParams, name: str = "sweep-candidate") -> Rule:
@@ -573,10 +560,16 @@ class HuntCandidate:
 
 @dataclass(frozen=True)
 class HuntResult:
+    """The hunt's outcome and its funnel: total, interesting, non-degenerate (live
+    and dead states at every probe length), length-stable (one accretion matrix
+    at every probe length) and viable."""
+
     space: str
     ns: tuple[int, ...]
     candidates_total: int
     candidates_interesting: int
+    candidates_nondegenerate: int
+    candidates_stable: int
     viable: tuple[HuntCandidate, ...]
 
     def report(self, max_lines: int = 40) -> str:
@@ -599,37 +592,67 @@ class HuntResult:
         return "\n".join(lines) + "\n"
 
 
-def _length_context(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+# Longest filament the hunt classifies (3**13 states); probe lengths go up to one less.
+_MAX_HUNT_LENGTH = 13
+
+# States per liveness chunk at the longest length the hunt reads.
+_HUNT_CHUNK_STATES = 1 << 14
+
+
+def _interesting_tables(tables: np.ndarray) -> np.ndarray:
+    """Mask of the (B, 3, 4, 4) tables whose state graph has min out-degree
+    two and is strongly connected."""
+    # Bit d of succ[b, c]: some neighborhood takes state c to state d.
+    succ = np.bitwise_or.reduce(1 << tables.reshape(len(tables), 3, 16), axis=2)
+    step = (succ[..., None] >> np.arange(3, dtype=np.uint8) & 1).astype(bool)
+    # With two successors per state, two steps reach whatever three states can reach.
+    return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
+
+
+def _neighborhood_keys(n: int) -> np.ndarray:
+    """(n, 3**n) uint8 table index cell*16 + left*4 + right of each cell of every length-n state."""
     cells = all_states_matrix(3, n)
-    left = np.full_like(cells, 3)
-    left[:, 1:] = cells[:, :-1]
-    right = np.full_like(cells, 3)
-    right[:, :-1] = cells[:, 1:]
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return cells, left, right, powers
+    padded = np.pad(cells, ((0, 0), (1, 1)), constant_values=3)
+    return (padded[:, 1:-1] * 16 + padded[:, :-2] * 4 + padded[:, 2:]).T.copy()
 
 
-def _live_mask(table: np.ndarray, ctx) -> np.ndarray:
-    """Per-state liveness (eventual period >= 2) via iterated squaring."""
-    cells, left, right, powers = ctx
-    t = (table[cells, left, right].astype(np.int64) @ powers).astype(np.int64)
-    f = t.copy()
-    size = len(t)
-    steps = 1
-    while steps < size:
-        f = f[f]
-        steps *= 2
-    return t[f] != f
+def _live_states(tables48: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per (table, state) liveness, eventual period >= 2: (len(tables48), 3**n).
+
+    Every state gets the flat id row * 3**n + state, and ceil(log2 3**n)
+    doubling rounds walk each one 3**n or more steps, onto its cycle."""
+    size = keys.shape[1]
+    succ = np.zeros((len(tables48), size), dtype=np.int32)
+    for key in keys:
+        succ *= 3
+        succ += tables48[:, key]
+    succ = (succ + (np.arange(len(tables48)) * size)[:, None]).ravel()
+    f = succ
+    for _ in range((size - 1).bit_length()):
+        f = f.take(f)
+    return (succ.take(f) != f).reshape(len(tables48), size)
 
 
-def _random_symmetric_table(rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random next-state table respecting neighbor symmetry."""
-    table = np.empty((3, 4, 4), dtype=np.uint8)
-    for c in range(3):
-        for a in range(4):
-            for b in range(a, 4):
-                table[c, a, b] = table[c, b, a] = rng.integers(0, 3)
-    return table
+def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
+    """Accretion counts: [b, j, a, d] counts the (length-n state, appended cell)
+    pairs at n = ns[j] whose state is live (a=0) or dead (a=1) and whose
+    extension is live (d=0) or dead (d=1); (len(tables), len(ns), 2, 2) int64."""
+    needed = sorted(set(ns) | {n + 1 for n in ns})
+    keys = {n: _neighborhood_keys(n) for n in needed}
+    rows = max(1, _HUNT_CHUNK_STATES // 3 ** needed[-1])
+    counts = np.empty((len(tables), len(ns), 2, 2), dtype=np.int64)
+    tables48 = tables.reshape(len(tables), 48)
+    for start in range(0, len(tables), rows):
+        chunk = tables48[start : start + rows]
+        live = {n: _live_states(chunk, keys[n]) for n in needed}
+        for j, n in enumerate(ns):
+            # Code 2*dead(state) + dead(extended state), offset by 4 per row.
+            code = (2 * ~live[n])[:, :, None] + ~live[n + 1].reshape(len(chunk), 3**n, 3)
+            code += 4 * np.arange(len(chunk))[:, None, None]
+            counts[start : start + rows, j] = np.bincount(
+                code.ravel(), minlength=4 * len(chunk)
+            ).reshape(-1, 2, 2)
+    return counts
 
 
 def hunt_viable_3state(
@@ -652,93 +675,66 @@ def hunt_viable_3state(
     SweepParams). Space "symmetric-sample" instead draws ``budget``
     uniformly random symmetric tables from the full 3**30 symmetric rule
     space, which is far too large to enumerate.
+
+    Candidates run as arrays: one interesting mask over all tables, then one
+    pointer-doubling liveness pass per chunk of candidates, reduced to counts.
     """
     ns = tuple(sorted(set(int(n) for n in ns)))
     if len(ns) < 2:
         raise ValueError("need at least two probe lengths")
     if any(n < 2 for n in ns):
         raise ValueError("probe lengths must be at least 2")
-    if space == "sweeps":
-        params_pool = (
-            list(candidates) if candidates is not None else list(
-                enumerate_sweep_params()
-            )
+    if ns[-1] >= _MAX_HUNT_LENGTH:
+        raise ValueError(
+            f"probe length {ns[-1]} needs all 3**{ns[-1] + 1} states of length {ns[-1] + 1}; "
+            f"the hunt classifies at most 3**{_MAX_HUNT_LENGTH}, "
+            f"so probe lengths up to {_MAX_HUNT_LENGTH - 1}"
         )
-        pool = [(p, _sweep_table(p)) for p in params_pool]
+    if space == "sweeps":
+        params = list(enumerate_sweep_params() if candidates is None else candidates)
+        tables = _sweep_tables(params)
     elif space == "symmetric-sample":
         if candidates is not None:
             raise ValueError("explicit candidates only apply to the sweeps space")
         if budget is None or budget < 1:
             raise ValueError("the sampled symmetric space needs a positive budget")
-        rng = np.random.default_rng(seed)
-        pool = [(None, _random_symmetric_table(rng)) for _ in range(budget)]
+        # One draw per unordered neighbor pair, states outermost.
+        draws = np.random.default_rng(seed).integers(0, 3, size=(budget, 3, 10))
+        tables = np.empty((budget, 3, 4, 4), dtype=np.uint8)
+        upper = np.triu_indices(4)
+        tables[:, :, upper[0], upper[1]] = tables[:, :, upper[1], upper[0]] = draws
+        params = [None] * budget
     else:
         raise ValueError(f"unknown space {space!r}")
-    needed = sorted(set(ns) | {n + 1 for n in ns})
-    contexts = {n: _length_context(n) for n in needed}
 
-    viable = []
-    interesting_count = 0
-    for params, table in pool:
-        if not _table_interesting(table):
-            continue
-        interesting_count += 1
-        live = {n: _live_mask(table, contexts[n]) for n in needed}
-        counts = {}
-        degenerate = False
-        for n in ns:
-            src = np.repeat(live[n], 3)
-            dst = live[n + 1]
-            c = np.bincount(
-                (~src).astype(np.int64) * 2 + (~dst).astype(np.int64), minlength=4
-            ).reshape(2, 2)
-            if c.sum(axis=1).min() == 0:
-                degenerate = True
-                break
-            counts[n] = c
-        if degenerate:
-            continue
-        base = counts[ns[0]]
-        base_rows = base.sum(axis=1)
-        stable = True
-        for n in ns[1:]:
-            other = counts[n]
-            other_rows = other.sum(axis=1)
-            for a in range(2):
-                for b in range(2):
-                    if (
-                        int(base[a, b]) * int(other_rows[a])
-                        != int(other[a, b]) * int(base_rows[a])
-                    ):
-                        stable = False
-        if not stable:
-            continue
-        matrix = tuple(
-            tuple(Fraction(int(base[a, b]), int(base_rows[a])) for b in range(2))
-            for a in range(2)
-        )
-        p_ld = matrix[0][1]
-        p_dl = matrix[1][0]
-        if p_ld == 0 or p_dl == 0:
-            continue
-        stationary_live = p_dl / (p_ld + p_dl)
-        if not 0 < stationary_live < 1:
-            continue
-        viable.append(
+    interesting = np.flatnonzero(_interesting_tables(tables))
+    counts = _accretion_counts(tables[interesting], ns)
+    row_sums = counts.sum(axis=3)
+    nondegenerate = (row_sums > 0).all(axis=(1, 2))
+    base, base_rows = counts[:, :1], row_sums[:, :1]
+    stable = nondegenerate & (
+        base * row_sums[..., None] == counts * base_rows[..., None]
+    ).all(axis=(1, 2, 3))
+    viable = stable & (base[:, 0, 0, 1] > 0) & (base[:, 0, 1, 0] > 0)
+
+    found = []
+    for i in np.flatnonzero(viable).tolist():
+        (ll, ld), (dl, dd) = base[i, 0].tolist()
+        p_ld, p_dl = Fraction(ld, ll + ld), Fraction(dl, dl + dd)
+        found.append(
             HuntCandidate(
-                params=params,
-                table=tuple(
-                    tuple(tuple(int(v) for v in row) for row in plane)
-                    for plane in table
-                ),
-                matrix=matrix,
-                stationary_live=stationary_live,
+                params=params[interesting[i]],
+                table=tuple(tuple(map(tuple, plane)) for plane in tables[interesting[i]].tolist()),
+                matrix=((1 - p_ld, p_ld), (p_dl, 1 - p_dl)),
+                stationary_live=p_dl / (p_ld + p_dl),
             )
         )
     return HuntResult(
         space=space,
         ns=ns,
-        candidates_total=len(pool),
-        candidates_interesting=interesting_count,
-        viable=tuple(viable),
+        candidates_total=len(tables),
+        candidates_interesting=len(interesting),
+        candidates_nondegenerate=int(nondegenerate.sum()),
+        candidates_stable=int(stable.sum()),
+        viable=tuple(found),
     )

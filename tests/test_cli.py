@@ -150,6 +150,12 @@ def test_search_hunt_smoke(capsys):
     assert "candidates_total: 25" in out
 
 
+def test_search_hunt_rejects_an_oversized_probe_length(capsys):
+    rc = main(["search", "--space", "3-state-sweeps", "--hunt-lengths", "14,15"])
+    assert rc == 1  # a usage error, raised before any state is built
+    assert "probe lengths up to 12" in capsys.readouterr().err
+
+
 def test_rule_info_and_index(capsys):
     rc = main(["rule-info", "--rule", "oblivious-example"])
     assert rc == 0

@@ -3,6 +3,7 @@
 import io
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -246,7 +247,6 @@ def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
     has_sweep = np.zeros(len(fps), dtype=bool)
     wit_state = np.full(len(fps), -1, dtype=np.int64)
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
-    wit_sweep = np.zeros(len(fps), dtype=bool)
 
     for start in range(0, len(fps), chunk_size):
         batch = fps[start : start + chunk_size].astype(np.uint32)
@@ -294,15 +294,14 @@ def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
         has_sweep[sl] = batch_sweep
         wit_state[sl] = np.where(batch_ta, first, -1)
         wit_kmax[sl] = np.where(batch_ta, max_ham[rows[:, 0], first], 0)
-        wit_sweep[sl] = batch_sweep
-    return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_sweep
+    return has_ta, has_trav, has_sweep, wit_state, wit_kmax
 
 
 def assert_scan_matches_reference(fps, n, k_a, starts):
     got = search._scan_length(fps, n, k_a, starts)
     want = reference_scan_length(fps, n, k_a, starts)
-    names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state",
-             "witness_k_max", "witness_sweeping")
+    names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state", "witness_k_max")
+    assert len(got) == len(want) == len(names)
     for name, g, w in zip(names, got, want):
         assert g.dtype == w.dtype, name
         assert np.array_equal(g, w), name
@@ -381,6 +380,7 @@ def test_hunt_confirms_both_catalogue_automata():
     result = hunt_viable_3state(candidates=[FIRST_SWEEP, SECOND_SWEEP])
     assert result.candidates_total == 2
     assert result.candidates_interesting == 2
+    assert result.candidates_nondegenerate == result.candidates_stable == 2
     assert len(result.viable) == 2
     first, second = result.viable
     assert first.matrix == (
@@ -401,6 +401,7 @@ def test_hunt_rejects_boring_candidates():
     result = hunt_viable_3state(candidates=[idle])
     assert result.candidates_total == 1
     assert result.candidates_interesting == 0
+    assert result.candidates_nondegenerate == result.candidates_stable == 0
     assert result.viable == ()
 
 
@@ -418,3 +419,282 @@ def test_hunt_result_report_lists_viable_rules():
     text = result.report()
     assert "viable: 1" in text
     assert "1/2" in text
+    # The text report prints total, interesting and viable, not the funnel between.
+    assert "candidates_nondegenerate" not in text and "candidates_stable" not in text
+
+
+@pytest.mark.parametrize("ns", [(14, 15), (3, 12, 13), (4, 10**9)])
+def test_hunt_rejects_probe_lengths_past_the_state_bound(ns):
+    # Checked before any table or state matrix is built: 3**16 states at
+    # (14, 15) would need several GB, and 10**9 could not be built at all.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="probe lengths up to 12"):
+            hunt_viable_3state(ns=ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_hunt_memory_stays_bounded_at_the_longest_probe():
+    # Probe length 12 reads all 3**13 states of length 13. The per-candidate
+    # loop peaked near 260 MB on this call, and int64 neighborhood keys near 580 MB.
+    tracemalloc.start()
+    try:
+        result = hunt_viable_3state(ns=(11, 12), candidates=[FIRST_SWEEP])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.stationary_live for c in result.viable] == [Fraction(1, 2)]
+    assert peak < 150 * 2**20
+
+
+# -- the hunt against the per-candidate loop --------------------------------------
+
+
+def reference_sweep_table(params):
+    """Dense (3, 4, 4) next-state table, code 3 for the empty boundary."""
+    table = np.empty((3, 4, 4), dtype=np.uint8)
+    for c in range(3):
+        table[c] = c
+        if params.bulk[c] is not None:
+            v, w = params.bulk[c]
+            table[c, v, 0:3] = w
+            table[c, 0:3, v] = w
+        if params.end[c] is not None:
+            u, z = params.end[c]
+            table[c, 3, u] = z
+            table[c, u, 3] = z
+    return table
+
+
+def reference_random_symmetric_table(rng):
+    table = np.empty((3, 4, 4), dtype=np.uint8)
+    for c in range(3):
+        for a in range(4):
+            for b in range(a, 4):
+                table[c, a, b] = table[c, b, a] = rng.integers(0, 3)
+    return table
+
+
+def reference_table_interesting(table):
+    succ = [set(table[c].ravel().tolist()) for c in range(3)]
+    if any(len(s) == 1 for s in succ):
+        return False
+    if min(len(s) for s in succ) < 2:
+        return False
+    adj = [[d in succ[c] for d in range(3)] for c in range(3)]
+    for _ in range(3):
+        for a in range(3):
+            for b in range(3):
+                if adj[a][b]:
+                    for d in range(3):
+                        adj[a][d] = adj[a][d] or adj[b][d]
+    return all(adj[a][b] for a in range(3) for b in range(3))
+
+
+def reference_length_context(n):
+    cells = all_states_matrix(3, n)
+    left = np.full_like(cells, 3)
+    left[:, 1:] = cells[:, :-1]
+    right = np.full_like(cells, 3)
+    right[:, :-1] = cells[:, 1:]
+    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return cells, left, right, powers
+
+
+def reference_live_mask(table, ctx):
+    """Per-state liveness (eventual period >= 2) via iterated squaring."""
+    cells, left, right, powers = ctx
+    t = (table[cells, left, right].astype(np.int64) @ powers).astype(np.int64)
+    f = t.copy()
+    size = len(t)
+    steps = 1
+    while steps < size:
+        f = f[f]
+        steps *= 2
+    return t[f] != f
+
+
+def reference_hunt(ns, candidates=None, space="sweeps", budget=None, seed=0):
+    """The hunt as first written: one candidate at a time over tiny arrays,
+    counting its funnel along the way."""
+    ns = tuple(sorted(set(ns)))
+    if space == "sweeps":
+        pool = [(p, reference_sweep_table(p)) for p in candidates]
+    else:
+        rng = np.random.default_rng(seed)
+        pool = [(None, reference_random_symmetric_table(rng)) for _ in range(budget)]
+    needed = sorted(set(ns) | {n + 1 for n in ns})
+    contexts = {n: reference_length_context(n) for n in needed}
+
+    viable = []
+    interesting_count = nondegenerate_count = stable_count = 0
+    for params, table in pool:
+        if not reference_table_interesting(table):
+            continue
+        interesting_count += 1
+        live = {n: reference_live_mask(table, contexts[n]) for n in needed}
+        counts = {}
+        degenerate = False
+        for n in ns:
+            src = np.repeat(live[n], 3)
+            dst = live[n + 1]
+            c = np.bincount(
+                (~src).astype(np.int64) * 2 + (~dst).astype(np.int64), minlength=4
+            ).reshape(2, 2)
+            if c.sum(axis=1).min() == 0:
+                degenerate = True
+                break
+            counts[n] = c
+        if degenerate:
+            continue
+        nondegenerate_count += 1
+        base = counts[ns[0]]
+        base_rows = base.sum(axis=1)
+        stable = True
+        for n in ns[1:]:
+            other = counts[n]
+            other_rows = other.sum(axis=1)
+            for a in range(2):
+                for b in range(2):
+                    if (
+                        int(base[a, b]) * int(other_rows[a])
+                        != int(other[a, b]) * int(base_rows[a])
+                    ):
+                        stable = False
+        if not stable:
+            continue
+        stable_count += 1
+        matrix = tuple(
+            tuple(Fraction(int(base[a, b]), int(base_rows[a])) for b in range(2))
+            for a in range(2)
+        )
+        p_ld = matrix[0][1]
+        p_dl = matrix[1][0]
+        if p_ld == 0 or p_dl == 0:
+            continue
+        stationary_live = p_dl / (p_ld + p_dl)
+        if not 0 < stationary_live < 1:
+            continue
+        viable.append(
+            search.HuntCandidate(
+                params=params,
+                table=tuple(
+                    tuple(tuple(int(v) for v in row) for row in plane)
+                    for plane in table
+                ),
+                matrix=matrix,
+                stationary_live=stationary_live,
+            )
+        )
+    return search.HuntResult(
+        space=space,
+        ns=ns,
+        candidates_total=len(pool),
+        candidates_interesting=interesting_count,
+        candidates_nondegenerate=nondegenerate_count,
+        candidates_stable=stable_count,
+        viable=tuple(viable),
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep_subset():
+    """A seeded 2,000-candidate subset of the sweep space and both catalogue sweeps."""
+    params = list(enumerate_sweep_params())
+    rng = np.random.default_rng(17)
+    picks = rng.choice(len(params), size=2000, replace=False)
+    return [params[i] for i in sorted(picks.tolist())] + [FIRST_SWEEP, SECOND_SWEEP]
+
+
+@pytest.mark.parametrize("ns", [(2, 3), (4, 5), (3, 5, 6)])
+def test_hunt_matches_the_per_candidate_loop(ns, sweep_subset):
+    result = hunt_viable_3state(ns=ns, candidates=sweep_subset)
+    assert result == reference_hunt(ns, sweep_subset)
+    assert result.viable
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_hunt_matches_the_per_candidate_loop(seed):
+    # Same seed, same tables: the sample is drawn in the loop's order.
+    result = hunt_viable_3state(space="symmetric-sample", budget=200, seed=seed)
+    assert result == reference_hunt((4, 5), space="symmetric-sample", budget=200, seed=seed)
+
+
+def test_hunt_matches_the_loop_one_candidate_per_chunk(sweep_subset, monkeypatch):
+    monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 1)
+    subset = sweep_subset[::40]
+    assert hunt_viable_3state(ns=(3, 4), candidates=subset) == reference_hunt((3, 4), subset)
+
+
+def reference_liveness(succ):
+    """Walk every state len(succ) steps onto its cycle; live unless that is a fixed point."""
+    state = np.arange(len(succ))
+    for _ in range(len(succ)):
+        state = succ[state]
+    return succ[state] != state
+
+
+def assert_live_states_match_the_walk(succ, n):
+    # With keys set to the digits of ``succ``, table row [perm[k % 3] for k]
+    # sends each state to ``succ`` with its digits permuted: six rows, six
+    # successor maps in one call.
+    succ = np.asarray(succ, dtype=np.int64)
+    digits = np.stack([succ // 3 ** (n - 1 - i) % 3 for i in range(n)])
+    perms = np.array(list(permutations(range(3))), dtype=np.uint8)
+    got = search._live_states(perms[:, np.arange(48) % 3], digits)
+    powers = 3 ** np.arange(n - 1, -1, -1)
+    for row, perm in zip(got, perms):
+        assert np.array_equal(row, reference_liveness(perm[digits].T @ powers))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_live_states_on_the_longest_transients(n):
+    # A path through every state into a fixed point (all dead) or into a
+    # 2-cycle (all live) needs every doubling round.
+    size = 3**n
+    path = np.minimum(np.arange(1, size + 1), size - 1)
+    assert_live_states_match_the_walk(path, n)
+    path[-1] = size - 2
+    assert_live_states_match_the_walk(path, n)
+    assert_live_states_match_the_walk(np.arange(size), n)
+    assert_live_states_match_the_walk(np.roll(np.arange(size), 1), n)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 3**n - 1), min_size=3**n, max_size=3**n))))
+@settings(max_examples=60, deadline=None)
+def test_live_states_match_the_walk_on_drawn_successors(case):
+    n, succ = case
+    assert_live_states_match_the_walk(succ, n)
+
+
+# Symmetric tables as 30 values, 10 per state: uniform, or each state's
+# values over its own one or two successors, so that out-degree one (which
+# strong connectivity alone would let through) comes up often.
+state_values = st.sets(st.integers(0, 2), min_size=1, max_size=2).flatmap(
+    lambda targets: st.lists(st.sampled_from(sorted(targets)), min_size=10, max_size=10)
+)
+symmetric_tables = st.lists(st.integers(0, 2), min_size=30, max_size=30) | st.tuples(
+    state_values, state_values, state_values
+).map(lambda planes: [v for plane in planes for v in plane])
+
+
+@given(st.lists(symmetric_tables, min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_interesting_mask_matches_the_scalar_predicate(draws):
+    tables = np.empty((len(draws), 3, 4, 4), dtype=np.uint8)
+    upper = np.triu_indices(4)
+    values = np.array(draws, dtype=np.uint8).reshape(len(draws), 3, 10)
+    tables[:, :, upper[0], upper[1]] = values
+    tables[:, :, upper[1], upper[0]] = values
+    want = [reference_table_interesting(t) for t in tables]
+    assert search._interesting_tables(tables).tolist() == want
+
+
+def test_sweep_tables_match_the_scalar_builder(sweep_subset):
+    tables = search._sweep_tables(sweep_subset)
+    assert tables.dtype == np.uint8
+    assert np.array_equal(tables, np.stack([reference_sweep_table(p) for p in sweep_subset]))

@@ -46,6 +46,7 @@ __all__ = [
     "GrowthMatrix",
     "Liveness",
     "census",
+    "count_accretions",
     "end_zero_class",
     "end_zero_class_array",
     "growth_transition_matrix",
@@ -286,16 +287,21 @@ def end_zero_class_array(n: int) -> np.ndarray:
     """Class ids (0 = both ends 0, 1 = one end 0, 2 = no end 0) for all 3**n states."""
     matrix = all_states_matrix(3, n)
     zeros = (matrix[:, 0] == 0).astype(np.int8) + (matrix[:, -1] == 0).astype(np.int8)
-    if n == 1:
-        zeros = np.where(matrix[:, 0] == 0, 2, 0).astype(np.int8)
     return (2 - zeros).astype(np.int8)
 
 
 def end_zero_class(filament: Filament) -> int:
     zeros = int(filament[0] == 0) + int(filament[-1] == 0)
-    if len(filament) == 1:
-        zeros = 2 if filament[0] == 0 else 0
     return 2 - zeros
+
+
+def count_accretions(class_at_n: np.ndarray, class_at_n1: np.ndarray, num_classes: int) -> np.ndarray:
+    """(B, S) and (B, S*s) class arrays, appended digit fastest, to (B, k, k) int64 counts:
+    [b, a, d] counts the (state, digit) pairs of row b from class a to class d."""
+    batch, total = class_at_n.shape
+    code = class_at_n.astype(np.int64)[:, :, None] * num_classes + class_at_n1.reshape(batch, total, -1)
+    code += num_classes**2 * np.arange(batch)[:, None, None]
+    return np.bincount(code.ravel(), minlength=batch * num_classes**2).reshape(batch, num_classes, num_classes)
 
 
 def measure_accretion_matrix(
@@ -314,16 +320,6 @@ def measure_accretion_matrix(
     total_n = len(class_at_n)
     if len(class_at_n1) != total_n * num_states:
         raise ValueError("class arrays do not describe consecutive lengths")
-    src = np.repeat(class_at_n.astype(np.int64), num_states)
-    dst = class_at_n1.astype(np.int64)
-    counts = np.bincount(src * num_classes + dst, minlength=num_classes**2).reshape(
-        num_classes, num_classes
-    )
-    rows = []
-    for a in range(num_classes):
-        row_total = int(counts[a].sum())
-        if row_total == 0:
-            rows.append(tuple(Fraction(0) for _ in range(num_classes)))
-        else:
-            rows.append(tuple(Fraction(int(c), row_total) for c in counts[a]))
-    return tuple(rows)
+    counts = count_accretions(class_at_n[None], class_at_n1[None], num_classes)[0].tolist()
+    # A class that never occurs gets a row of zeros.
+    return tuple(tuple(Fraction(c, max(sum(row), 1)) for c in row) for row in counts)

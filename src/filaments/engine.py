@@ -33,6 +33,7 @@ __all__ = [
     "default_horizon",
     "detect_cycle",
     "hamming",
+    "neighborhood_keys",
     "run_trace",
     "state_ids",
     "step",
@@ -47,33 +48,47 @@ def step(rule: Rule, filament: Filament) -> Filament:
     return Filament(tuple(int(v) for v in step_array(rule, np.array([filament.cells]))[0]))
 
 
+def neighborhood_keys(states: np.ndarray, num_states: int, radius: int) -> np.ndarray:
+    """Flat index into ``lookup_table.ravel()`` of every cell of a ``(batch, n)`` array.
+
+    Digits follow the table's axes (current, left outermost..innermost, right
+    innermost..outermost), neighbors in base ``num_states + 1`` with ``num_states``
+    for EMPTY, in the smallest unsigned dtype that holds every index of the table.
+    A cell outside ``[0, num_states)`` raises ``ValueError``: a narrow key would wrap.
+    """
+    states = np.asarray(states)
+    # A negative cell reads as a huge one in the unsigned view, so one max checks both ends.
+    if states.dtype.kind not in "iu" or states.view(f"u{states.itemsize}").max(initial=0) >= num_states:
+        raise ValueError(f"cell states must be integers in [0, {num_states})")
+    cells = states.astype(np.uint8, copy=False)
+    keys = cells.astype(np.min_scalar_type(num_states * (num_states + 1) ** (2 * radius) - 1))
+    # Horner's rule, one neighbor digit per pass; past an end the digit is EMPTY.
+    for d in range(radius, 0, -1):
+        keys *= num_states + 1
+        keys[:, d:] += cells[:, :-d]
+        keys[:, :d] += num_states
+    for d in range(1, radius + 1):
+        keys *= num_states + 1
+        keys[:, :-d] += cells[:, d:]
+        keys[:, -d:] += num_states
+    return keys
+
+
 def step_array(rule: Rule, states: np.ndarray) -> np.ndarray:
     """One synchronous update of a batch of filaments.
 
     ``states`` has shape ``(batch, n)`` with integer cell states; the result
     has the same shape and dtype uint8. All rows must share one length, and
     the rule's compiled lookup table does the per-cell work, so this is the
-    fast path every higher-level routine funnels through.
+    fast path every higher-level routine funnels through. A cell outside
+    ``[0, rule.num_states)`` raises ``ValueError``.
     """
     states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a (batch, n) array, got shape {states.shape}")
-    batch, n = states.shape
-    if n < 1:
+    if states.shape[1] < 1:
         raise ValueError("filaments need at least one cell")
-    s = rule.num_states
-    r = rule.radius
-    # Pad both ends with the EMPTY code, then take sliding windows.
-    padded = np.full((batch, n + 2 * r), s, dtype=np.uint8)
-    padded[:, r : r + n] = states
-    table = rule.lookup_table
-    # Index order: current, left outermost..innermost, right innermost..outermost.
-    idx = (states,)
-    for d in range(r, 0, -1):
-        idx += (padded[:, r - d : r - d + n],)
-    for d in range(1, r + 1):
-        idx += (padded[:, r + d : r + d + n],)
-    return table[idx]
+    return rule.lookup_table.ravel()[neighborhood_keys(states, rule.num_states, rule.radius)]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import ANY, EMPTY, Rule, RuleEntry
-from .engine import all_states_matrix
+from .analysis import count_accretions
+from .engine import all_states_matrix, neighborhood_keys
 
 __all__ = [
     "HuntCandidate",
@@ -85,13 +86,8 @@ def rule_index(rule: Rule) -> int:
     """Inverse of rule_from_index for any two-state radius-1 rule."""
     if rule.num_states != 2 or rule.radius != 1:
         raise ValueError("only two-state radius-1 rules have an index")
-    table = rule.lookup_table
-    index = 0
-    for c in range(2):
-        for l in range(3):
-            for r in range(3):
-                index |= int(table[c, l, r]) << (c * 9 + l * 3 + r)
-    return index
+    # The index is the lookup table written out in flat-key order, key c*9 + l*3 + r.
+    return sum(int(bit) << key for key, bit in enumerate(rule.lookup_table.ravel()))
 
 
 def _row_split(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,15 +227,13 @@ def _byte_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     head = n // 2
     tables = []
     for width, cols in ((head + 1, range(head)), (n - head + 1, range(1, n - head + 1))):
-        cells = all_states_matrix(2, width)
-        padded = np.pad(cells, ((0, 0), (1, 1)), constant_values=2)
-        code = padded[:, :-2] * 3 + padded[:, 2:]
+        # The two-state key c*9 + l*3 + r is the rule-index bit: bit l*3 + r of byte c.
+        cell, code = divmod(neighborhood_keys(all_states_matrix(2, width), 2, 1), 9)
         table = np.zeros((2, 256, 1 << width), dtype=np.uint16)
         byte = np.arange(256, dtype=np.uint16)[:, None]
         for shift, col in enumerate(reversed(cols)):
             bit = ((byte >> code[:, col]) & 1) << shift
-            for c in range(2):
-                table[c] |= bit * (cells[:, col] == c)
+            table[cell[:, col], :, np.arange(1 << width)] |= bit.T
         tables.append(table)
     return tables[0], tables[1]
 
@@ -609,13 +603,6 @@ def _interesting_tables(tables: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
 
 
-def _neighborhood_keys(n: int) -> np.ndarray:
-    """(n, 3**n) uint8 table index cell*16 + left*4 + right of each cell of every length-n state."""
-    cells = all_states_matrix(3, n)
-    padded = np.pad(cells, ((0, 0), (1, 1)), constant_values=3)
-    return (padded[:, 1:-1] * 16 + padded[:, :-2] * 4 + padded[:, 2:]).T.copy()
-
-
 def _live_states(tables48: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Per (table, state) liveness, eventual period >= 2: (len(tables48), 3**n).
 
@@ -638,7 +625,7 @@ def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
     pairs at n = ns[j] whose state is live (a=0) or dead (a=1) and whose
     extension is live (d=0) or dead (d=1); (len(tables), len(ns), 2, 2) int64."""
     needed = sorted(set(ns) | {n + 1 for n in ns})
-    keys = {n: _neighborhood_keys(n) for n in needed}
+    keys = {n: neighborhood_keys(all_states_matrix(3, n), 3, 1).T.copy() for n in needed}
     rows = max(1, _HUNT_CHUNK_STATES // 3 ** needed[-1])
     counts = np.empty((len(tables), len(ns), 2, 2), dtype=np.int64)
     tables48 = tables.reshape(len(tables), 48)
@@ -646,12 +633,7 @@ def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
         chunk = tables48[start : start + rows]
         live = {n: _live_states(chunk, keys[n]) for n in needed}
         for j, n in enumerate(ns):
-            # Code 2*dead(state) + dead(extended state), offset by 4 per row.
-            code = (2 * ~live[n])[:, :, None] + ~live[n + 1].reshape(len(chunk), 3**n, 3)
-            code += 4 * np.arange(len(chunk))[:, None, None]
-            counts[start : start + rows, j] = np.bincount(
-                code.ravel(), minlength=4 * len(chunk)
-            ).reshape(-1, 2, 2)
+            counts[start : start + rows, j] = count_accretions(~live[n], ~live[n + 1], 2)
     return counts
 
 

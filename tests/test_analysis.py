@@ -247,6 +247,8 @@ def test_end_zero_class_values():
     assert end_zero_class(Filament.from_string("011")) == 1
     assert end_zero_class(Filament.from_string("110")) == 1
     assert end_zero_class(Filament.from_string("111")) == 2
+    assert end_zero_class(Filament.from_string("0")) == 0
+    assert end_zero_class(Filament.from_string("1")) == 2
 
 
 def test_measured_accretion_matches_declared_matrix():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from filaments.core import Filament, Rule, RuleEntry, neighborhood_of
+from filaments.core import ANY, EMPTY, Filament, Rule, RuleEntry, neighborhood_of
 from filaments.engine import (
     all_states_matrix,
     classify_functional_graph,
@@ -15,6 +16,7 @@ from filaments.engine import (
     default_horizon,
     detect_cycle,
     hamming,
+    neighborhood_keys,
     run_trace,
     state_ids,
     step,
@@ -57,6 +59,83 @@ def test_step_array_shape_checks():
         step_array(rule, np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         step_array(rule, np.zeros((2, 0), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("cell", [3, 16, 255])
+@pytest.mark.parametrize("shape", ["single", "multi"])
+def test_step_array_rejects_out_of_range_cells(cell, shape):
+    # A uint8 key would wrap: the single cell 16 reads key 271 = 15 (mod 256).
+    row = [cell] if shape == "single" else [0, cell, 2, 1]
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        step_array(automaton_i(), np.array([row], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("row", [[-1], [0, 1, -1, 2]])
+def test_step_array_rejects_negative_cells(row):
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        step_array(automaton_i(), np.array([row], dtype=np.int64))
+
+
+def _patterns_overlap(a, b):
+    """Whether two token patterns (left + right) can match one neighborhood."""
+    return all(
+        (x is EMPTY) == (y is EMPTY) and (x in (EMPTY, ANY) or y in (EMPTY, ANY) or x == y)
+        for x, y in zip(a, b)
+    )
+
+
+@st.composite
+def conflict_free_rules(draw, s, r):
+    """Random rules with literal, ANY and EMPTY tokens; an entry whose pattern
+    overlaps a kept one with another next state is dropped."""
+    symmetric = draw(st.booleans())
+    token = st.one_of(st.integers(0, s - 1), st.just(ANY), st.just(EMPTY))
+    kept = []
+    for _ in range(draw(st.integers(0, 8))):
+        current, nxt = draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))
+        tokens = tuple(draw(token) for _ in range(2 * r))
+        clash = any(
+            e.current == current
+            and e.next_state != nxt
+            and (
+                _patterns_overlap(tokens, e.left + e.right)
+                or symmetric and _patterns_overlap(tokens, (e.left + e.right)[::-1])
+            )
+            for e in kept
+        )
+        if not clash:
+            kept.append(RuleEntry(current, tokens[:r], tokens[r:], nxt))
+    return Rule("random", s, r, symmetric, tuple(kept))
+
+
+@pytest.mark.parametrize(
+    "s, r, key_dtype",
+    [(2, 1, np.uint8), (3, 1, np.uint8), (4, 1, np.uint8),
+     (2, 2, np.uint8), (3, 2, np.uint16), (4, 2, np.uint16)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_step_array_matches_interpreter_on_random_rules(s, r, key_dtype, data):
+    rule = data.draw(conflict_free_rules(s, r))
+    n = data.draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    states = np.array(rows, dtype=np.uint8)
+    assert neighborhood_keys(states, s, r).dtype == key_dtype
+    expected = [
+        [rule.next_state(f[i], neighborhood_of(f, i, r)) for i in range(n)]
+        for f in map(Filament, rows)
+    ]
+    assert step_array(rule, states).tolist() == expected
+
+
+@given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 5), st.integers(1, 4)), elements=st.integers(0, 254)))
+def test_neighborhood_keys_with_wide_tables(states):
+    keys = neighborhood_keys(states, 255, 1)
+    padded = np.pad(states, ((0, 0), (1, 1)), constant_values=255)
+    expected = np.ravel_multi_index((states, padded[:, :-2], padded[:, 2:]), (255, 256, 256))
+    assert keys.dtype == np.uint32
+    assert (keys == expected).all()
 
 
 def test_step_array_rows_are_independent():

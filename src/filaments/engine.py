@@ -45,7 +45,7 @@ __all__ = [
 
 def step(rule: Rule, filament: Filament) -> Filament:
     """One synchronous update of every cell."""
-    return Filament(tuple(int(v) for v in step_array(rule, np.array([filament.cells]))[0]))
+    return Filament(step_array(rule, np.array([filament.cells]))[0].tolist())
 
 
 def neighborhood_keys(states: np.ndarray, num_states: int, radius: int) -> np.ndarray:
@@ -56,11 +56,7 @@ def neighborhood_keys(states: np.ndarray, num_states: int, radius: int) -> np.nd
     for EMPTY, in the smallest unsigned dtype that holds every index of the table.
     A cell outside ``[0, num_states)`` raises ``ValueError``: a narrow key would wrap.
     """
-    states = np.asarray(states)
-    # A negative cell reads as a huge one in the unsigned view, so one max checks both ends.
-    if states.dtype.kind not in "iu" or states.view(f"u{states.itemsize}").max(initial=0) >= num_states:
-        raise ValueError(f"cell states must be integers in [0, {num_states})")
-    cells = states.astype(np.uint8, copy=False)
+    cells = _uint8_cells(states, num_states)
     keys = cells.astype(np.min_scalar_type(num_states * (num_states + 1) ** (2 * radius) - 1))
     # Horner's rule, one neighbor digit per pass; past an end the digit is EMPTY.
     for d in range(radius, 0, -1):
@@ -72,6 +68,15 @@ def neighborhood_keys(states: np.ndarray, num_states: int, radius: int) -> np.nd
         keys[:, :-d] += cells[:, d:]
         keys[:, -d:] += num_states
     return keys
+
+
+def _uint8_cells(states, num_states: int) -> np.ndarray:
+    """``states`` as uint8; a cell outside ``[0, num_states)`` raises ``ValueError``."""
+    states = np.asarray(states)
+    # A negative cell reads as a huge one in the unsigned view, so one max checks both ends.
+    if states.dtype.kind not in "iu" or states.view(f"u{states.itemsize}").max(initial=0) >= num_states:
+        raise ValueError(f"cell states must be integers in [0, {num_states})")
+    return states.astype(np.uint8, copy=False)
 
 
 def step_array(rule: Rule, states: np.ndarray) -> np.ndarray:
@@ -112,12 +117,11 @@ def run_trace(rule: Rule, initial: Filament, steps: int) -> Trace:
     """Evolve ``initial`` for ``steps`` updates, keeping every configuration."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    states = [initial]
-    row = np.array([initial.cells], dtype=np.uint8)
-    for _ in range(steps):
-        row = step_array(rule, row)
-        states.append(Filament(tuple(int(v) for v in row[0])))
-    return Trace(rule.name, tuple(states))
+    rows = np.empty((steps + 1, len(initial)), dtype=np.uint8)
+    rows[0] = _uint8_cells(initial.cells, rule.num_states)
+    for t in range(steps):
+        rows[t + 1] = step_array(rule, rows[t : t + 1])
+    return Trace(rule.name, (initial, *(Filament(row) for row in rows[1:].tolist())))
 
 
 def hamming(a: Filament, b: Filament) -> int:
@@ -161,13 +165,17 @@ def wave_type_of(cycle_states: tuple[Filament, ...], k_a: int = 2) -> WaveType:
     """
     if not cycle_states:
         raise ValueError("cycle must contain at least one state")
-    n = len(cycle_states[0])
     diffs = [
         hamming(cycle_states[i], cycle_states[(i + 1) % len(cycle_states)])
         for i in range(len(cycle_states))
     ]
-    k_max = max(diffs)
-    if min(diffs) == n:
+    return _wave_type(diffs, len(cycle_states[0]), k_a)
+
+
+def _wave_type(changes: list[int], n: int, k_a: int) -> WaveType:
+    """``WaveType`` of a cycle from the changed-cell count of each of its steps."""
+    k_max = max(changes)
+    if min(changes) == n:
         return WaveType("B", k_max)
     if k_max <= k_a and k_a < n:
         return WaveType("A", k_max)
@@ -203,51 +211,32 @@ def detect_cycle(
     """Follow one trajectory until a state repeats or the horizon is hit.
 
     The first repeat pins down the transient (steps before the cycle) and
-    the period exactly, since the dynamics are deterministic.
+    the period exactly, since the dynamics are deterministic. Each visited
+    state is kept as its packed uint8 row, one byte per cell, with the
+    number of cells its step changed.
     """
     if horizon is None:
         horizon = default_horizon(len(initial))
-    seen: dict[tuple[int, ...], int] = {initial.cells: 0}
-    history = [initial]
-    row = np.array([initial.cells], dtype=np.uint8)
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    row = _uint8_cells([initial.cells], rule.num_states)
+    seen = {row.tobytes(): 0}
+    changes: list[int] = []
     for t in range(1, horizon + 1):
-        row = step_array(rule, row)
-        cells = tuple(int(v) for v in row[0])
-        if cells in seen:
-            start = seen[cells]
-            period = t - start
-            cycle = tuple(history[start:])
-            if period == 1:
-                return TrajectoryReport(
-                    outcome="quiescent",
-                    transient=start,
-                    period=1,
-                    wave=None,
-                    settle_time=start,
-                    horizon=horizon,
-                    max_cells_changed=0,
-                )
-            wave = wave_type_of(cycle, k_a=k_a)
-            return TrajectoryReport(
-                outcome="cyclic",
-                transient=start,
-                period=period,
-                wave=wave,
-                settle_time=None,
-                horizon=horizon,
-                max_cells_changed=wave.k_max,
-            )
-        seen[cells] = t
-        history.append(Filament(cells))
-    return TrajectoryReport(
-        outcome="unresolved",
-        transient=None,
-        period=None,
-        wave=None,
-        settle_time=None,
-        horizon=horizon,
-        max_cells_changed=None,
-    )
+        nxt = step_array(rule, row)
+        changes.append(int(np.count_nonzero(nxt != row)))
+        row = nxt
+        start = seen.setdefault(row.tobytes(), t)
+        if start == t:
+            continue
+        if t - start == 1:
+            return TrajectoryReport("quiescent", transient=start, period=1, wave=None,
+                                    settle_time=start, horizon=horizon, max_cells_changed=0)
+        wave = _wave_type(changes[start:], len(initial), k_a)
+        return TrajectoryReport("cyclic", transient=start, period=t - start, wave=wave,
+                                settle_time=None, horizon=horizon, max_cells_changed=wave.k_max)
+    return TrajectoryReport("unresolved", transient=None, period=None, wave=None,
+                            settle_time=None, horizon=horizon, max_cells_changed=None)
 
 
 # -- whole-state-space helpers -----------------------------------------------

@@ -98,6 +98,14 @@ def test_classify_unresolved_exit_code(capsys):
     assert "outcome: unresolved" in capsys.readouterr().out
 
 
+def test_classify_rejects_negative_horizon(capsys):
+    rc = main(["classify", "--rule", "automaton-i", "--init", "0222", "--horizon", "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be non-negative\n"
+
+
 def test_census_output(capsys):
     rc = main(["census", "--rule", "automaton-i", "--n", "6"])
     assert rc == 0

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from filaments.core import ANY, EMPTY, Filament, Rule, RuleEntry, neighborhood_of
 from filaments.engine import (
+    TrajectoryReport,
+    WaveType,
     all_states_matrix,
     classify_functional_graph,
     count_steps,
@@ -215,6 +217,120 @@ def test_detect_cycle_unresolved_when_horizon_too_small():
     assert report.outcome == "unresolved"
     assert report.horizon == 5
     assert report.period is None
+
+
+def test_detect_cycle_rejects_negative_horizon():
+    with pytest.raises(ValueError, match="horizon"):
+        detect_cycle(automaton_i(), Filament.from_string("022222"), horizon=-3)
+
+
+@pytest.mark.parametrize("cell", [3, 256, 2**70])
+def test_out_of_range_start_cells_raise_value_error(cell):
+    start = Filament((0, cell, 2))
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        detect_cycle(automaton_i(), start)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        detect_cycle(automaton_i(), start, horizon=0)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        run_trace(automaton_i(), start, 0)
+
+
+def reference_detect_cycle(rule, initial, horizon=None, k_a=2):
+    """``detect_cycle`` as first written: a dict of cell tuples and a ``Filament`` history."""
+    if horizon is None:
+        horizon = default_horizon(len(initial))
+    seen = {initial.cells: 0}
+    history = [initial]
+    row = np.array([initial.cells], dtype=np.uint8)
+    for t in range(1, horizon + 1):
+        row = step_array(rule, row)
+        cells = tuple(int(v) for v in row[0])
+        if cells in seen:
+            start = seen[cells]
+            period = t - start
+            if period == 1:
+                return TrajectoryReport("quiescent", start, 1, None, start, horizon, 0)
+            wave = wave_type_of(tuple(history[start:]), k_a=k_a)
+            return TrajectoryReport("cyclic", start, period, wave, None, horizon, wave.k_max)
+        seen[cells] = t
+        history.append(Filament(cells))
+    return TrajectoryReport("unresolved", None, None, None, None, horizon, None)
+
+
+def assert_matches_reference(rule, start, k_a, horizon=None):
+    report = detect_cycle(rule, start, horizon=horizon, k_a=k_a)
+    assert report == reference_detect_cycle(rule, start, horizon=horizon, k_a=k_a)
+    return report
+
+
+def assert_horizon_boundary_matches_reference(rule, start, k_a):
+    """Both resolve with exactly transient + period steps; neither with one step fewer."""
+    report = assert_matches_reference(rule, start, k_a)
+    if report.outcome != "unresolved":
+        needed = report.transient + report.period
+        assert assert_matches_reference(rule, start, k_a, horizon=needed).outcome == report.outcome
+        assert assert_matches_reference(rule, start, k_a, horizon=needed - 1).outcome == "unresolved"
+
+
+CATALOGUE_TRAJECTORY_RULES = [automaton_i(), automaton_ii(), bouncer_rule(), clock_rule(2), clock_rule(3)]
+
+
+# The automaton-ii cycle 022 -> 002 -> 001 -> 011 -> 022 changes 1, 1, 1, 2 cells: entered
+# at 022 its closing step is the only one of 2 cells, entered at 011 its first step is.
+@pytest.mark.parametrize(
+    "rule, text, k_a, kind",
+    [(clock_rule(2), "0010", 1, "B"), (automaton_i(), "0222", 1, "A"), (automaton_ii(), "022", 1, "mixed"),
+     (automaton_ii(), "022", 2, "A"), (automaton_ii(), "011", 2, "A"), (bouncer_rule(), "0110", 3, "A"),
+     (automaton_ii(), "0001", 2, "mixed")],
+)
+def test_detect_cycle_matches_reference_on_each_wave_kind(rule, text, k_a, kind):
+    assert assert_matches_reference(rule, Filament.from_string(text), k_a).wave.kind == kind
+
+
+def starts(s, max_n):
+    """Filaments of 1..max_n cells over s states, lengths drawn evenly."""
+    cells = st.integers(1, max_n).flatmap(lambda n: st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+    return cells.map(lambda c: Filament(tuple(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOGUE_TRAJECTORY_RULES), st.integers(1, 3), st.data())
+def test_detect_cycle_matches_reference_on_catalogue_rules(rule, k_a, data):
+    assert_matches_reference(rule, data.draw(starts(rule.num_states, 200)), k_a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOGUE_TRAJECTORY_RULES), st.integers(1, 3), st.data())
+def test_detect_cycle_horizon_boundary_on_catalogue_rules(rule, k_a, data):
+    assert_horizon_boundary_matches_reference(rule, data.draw(starts(rule.num_states, 30)), k_a)
+
+
+@pytest.mark.parametrize("s, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_detect_cycle_matches_reference_on_random_rules(s, r, k_a, data):
+    rule = data.draw(conflict_free_rules(s, r))
+    assert_horizon_boundary_matches_reference(rule, data.draw(starts(s, 12)), k_a)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_six_sweep_period_law_at_large_n(n):
+    tracemalloc.start()
+    try:
+        report = detect_cycle(automaton_i(), Filament((0,) + (2,) * (n - 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.outcome, report.transient, report.period) == ("cyclic", 0, 6 * (n - 1))
+    assert report.wave == WaveType("A", 1)
+    # One byte per cell per visited state: 25.6 MB measured at n=2000, period 11994.
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_two_sweep_period_law_at_large_n(n):
+    report = detect_cycle(automaton_ii(), Filament((0,) * (n - 1) + (1,)))
+    assert (report.outcome, report.transient, report.period) == ("cyclic", 0, 2 * (n - 1))
 
 
 def test_default_horizon_scales_with_length():

@@ -62,13 +62,17 @@ class Filament:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(int(c) if isinstance(c, np.integer) else c for c in self.cells)
+        cells = tuple(self.cells)
+        # A nonempty row of exact non-negative ints passes in one check; the
+        # per-cell loop converts NumPy integers and names the first bad cell.
+        if not (cells and set(map(type, cells)) <= {int} and min(cells) >= 0):
+            cells = tuple(int(c) if isinstance(c, np.integer) else c for c in cells)
+            if not cells:
+                raise ValueError("a filament needs at least one cell")
+            for c in cells:
+                if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                    raise ValueError(f"cell states must be non-negative integers, got {c!r}")
         object.__setattr__(self, "cells", cells)
-        if not cells:
-            raise ValueError("a filament needs at least one cell")
-        for c in cells:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"cell states must be non-negative integers, got {c!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "Filament":

@@ -14,9 +14,15 @@ per (current state, left code, right code) with codes 0 and 1 for real
 states and 2 for the empty boundary; bit position c*9 + l*3 + r holds the
 successor. Positions 8 and 17 are the (empty, empty) neighborhoods, which
 only a length-1 filament ever presents, so for dynamics at length 2 and
-up rules collapse into 2**16 equivalence classes ("fingerprints"). The
-scan simulates each fingerprint once over every initial state. Successor
-tables come from per-length tables over the 256 values of each
+up rules collapse into 2**16 equivalence classes ("fingerprints").
+Left-right reflection R and the 0<->1 complement C, with RC, permute the
+fingerprints and the states of a filament together, so they split the
+fingerprints into 16,768 orbits (the ECA equivalence-class reduction of
+Wolfram 1983 and Li & Packard 1990). With every initial state covered,
+the scan simulates one representative per orbit and maps each member's
+results through its group element; a sampled start set is not closed
+under the group, so there every fingerprint is its own representative.
+Successor tables come from per-length tables over the 256 values of each
 fingerprint byte, split at the middle of the filament so that they stay
 small at every length. Pointer doubling over flat indices (Wyllie's list
 ranking) then walks every state 2**n steps in n rounds, which classifies
@@ -255,6 +261,64 @@ def _successor_table(fps: np.ndarray, n: int) -> np.ndarray:
     return (heads | tails).reshape(len(fps), 1 << n)
 
 
+def _rule_images(indices: np.ndarray) -> np.ndarray:
+    """Images of 18-bit rule indices under the group (id, R, C, RC): (4, len(indices)).
+
+    R reflects left and right, so bit c*9 + l*3 + r moves to c*9 + r*3 + l.
+    C complements every state: the bit moves to the complemented current
+    state and real neighbors (the empty code 2 stays) and its value flips.
+    """
+    indices = np.asarray(indices, dtype=np.uint32)
+    images = np.zeros((4, len(indices)), dtype=np.uint32)
+    for c, l, r in product(range(2), range(3), range(3)):
+        bit = (indices >> (c * 9 + l * 3 + r)) & 1
+        for g, (reflect, flip) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            code = (1, 0, 2) if flip else (0, 1, 2)
+            gl, gr = (code[r], code[l]) if reflect else (code[l], code[r])
+            images[g] |= (bit ^ flip) << ((c ^ flip) * 9 + gl * 3 + gr)
+    return images
+
+
+def _fingerprint_images(fps: np.ndarray) -> np.ndarray:
+    """Images of fingerprints under (id, R, C, RC): (4, len(fps)) uint16.
+
+    The group maps the (empty, empty) bits 8 and 17 only onto each other,
+    so it acts on a fingerprint through any rule index that has it.
+    """
+    fps = np.asarray(fps, dtype=np.uint32)
+    images = _rule_images((fps & 0xFF) | (fps & 0xFF00) << 1)
+    return fingerprint16(images.ravel()).reshape(images.shape)
+
+
+@cache
+def _fingerprint_orbits() -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representative of every fingerprint and the group element that
+    carries the representative to it, both (2**16,).
+
+    The representative is the orbit's smallest fingerprint.
+    """
+    fps = np.arange(1 << 16)
+    images = _fingerprint_images(fps)
+    # Each element is an involution, so g.fp == rep means fp == g.rep.
+    element = np.argmin(images, axis=0).astype(np.uint8)
+    return images[element, fps], element
+
+
+@cache
+def _state_images(n: int) -> np.ndarray:
+    """Images of every length-n state id under (id, R, C, RC): (4, 2**n) intp.
+
+    R reverses the n cells and C complements them; the first cell is the
+    state id's top bit.
+    """
+    states = np.arange(1 << n)
+    reversed_ = np.zeros_like(states)
+    for i in range(n):
+        reversed_ |= ((states >> i) & 1) << (n - 1 - i)
+    ones = (1 << n) - 1
+    return np.stack([states, reversed_, states ^ ones, reversed_ ^ ones])
+
+
 def _scan_length(
     fps: np.ndarray,
     n: int,
@@ -269,18 +333,40 @@ def _scan_length(
     the flags only count cycles reachable from those initial states;
     otherwise coverage is every length-n state.
 
-    Fingerprints go through in chunks of about ``_CHUNK_CELLS`` states.
+    With full coverage only one fingerprint per orbit of the group (id, R,
+    C, RC) is simulated. Each element g permutes the states by pi_g and
+    conjugates the dynamics, succ_{g.fp}(pi_g(s)) = pi_g(succ_fp(s)), so
+    cycles, periods, step weights and changed-cell spans carry over and
+    the three flags are the representative's. A sampled start set is not
+    closed under the group, so it uses the identity alone.
+
+    Representatives go through in chunks of about ``_CHUNK_CELLS`` states.
     Every state of a chunk gets a flat index, row * 2**n + state, so one
     doubling pass is n rounds of 1-D gathers. A per-state word carries the
     cells changed along the walk in its low n bits and, above them, the
     step Hamming weights as thermometer codes, so that one OR per round
     tracks both the union of changed cells and the largest step. After n
     rounds each state's walk has reached its cycle and covered the cycle
-    in full; the cycle nodes are the walk's image.
+    in full; the cycle nodes are the walk's image. Each state then gets a
+    priority, 3 sweeping, 2 travelling, 1 Type-A, and a member g.rep takes
+    as witness the first state of highest priority in its own labelling:
+    the argmax of the representative's priorities gathered through pi_g.
     """
     size = 1 << n
     rows = max(1, _CHUNK_CELLS >> n)
     state_ids = np.arange(size, dtype=np.int64)
+    if starts is None:
+        rep_of, element_of = _fingerprint_orbits()
+        perms = _state_images(n)
+        rep, element = rep_of[fps], element_of[fps]
+    else:
+        perms = state_ids[None, :]
+        rep, element = fps, np.zeros(len(fps), dtype=np.uint8)
+    # Members in representative order, so that each chunk's members are one slice.
+    by_rep = np.argsort(rep, kind="stable")
+    rep = rep[by_rep]
+    reps = np.unique(rep)
+    bounds = np.searchsorted(rep, reps[::rows]).tolist() + [len(rep)]
 
     has_ta = np.zeros(len(fps), dtype=bool)
     has_trav = np.zeros(len(fps), dtype=bool)
@@ -288,12 +374,15 @@ def _scan_length(
     wit_state = np.full(len(fps), -1, dtype=np.int64)
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
 
-    for start in range(0, len(fps), rows):
-        batch = fps[start : start + rows]
-        t = _successor_table(batch, n)
-        diff = t ^ state_ids
-        word = (diff | (((1 << np.bitwise_count(diff).astype(np.int64)) - 1) << n)).ravel()
-        walk = (t + (np.arange(len(batch), dtype=np.int64) * size)[:, None]).ravel()
+    for chunk, start in enumerate(range(0, len(reps), rows)):
+        batch = reps[start : start + rows]
+        # Built in place, so that only word and walk are alive during the doubling.
+        walk = _successor_table(batch, n)
+        word = walk ^ state_ids
+        word |= ((1 << np.bitwise_count(word).astype(np.int64)) - 1) << n
+        word = word.ravel()
+        walk += (np.arange(len(batch), dtype=np.int64) * size)[:, None]
+        walk = walk.ravel()
         for _ in range(n):
             word |= word[walk]
             walk = walk[walk]
@@ -308,22 +397,24 @@ def _scan_length(
         # The changed cells span more than k_a positions.
         trav_nodes = type_a_nodes & (union >= (union & -union) << k_a)
         sweep_nodes = type_a_nodes & (np.bitwise_count(union) == n)
-        batch_ta = type_a_nodes.any(axis=1)
-        batch_trav = trav_nodes.any(axis=1)
-        batch_sweep = sweep_nodes.any(axis=1)
-        # Prefer a sweeping witness state, then a travelling one.
-        pick_from = np.where(
-            batch_sweep[:, None],
-            sweep_nodes,
-            np.where(batch_trav[:, None], trav_nodes, type_a_nodes),
-        )
-        first = np.argmax(pick_from, axis=1)
-        sl = slice(start, start + len(batch))
-        has_ta[sl] = batch_ta
-        has_trav[sl] = batch_trav
-        has_sweep[sl] = batch_sweep
-        wit_state[sl] = np.where(batch_ta, first, -1)
-        wit_kmax[sl] = np.where(batch_ta, max_ham[np.arange(len(batch)), first], 0)
+        # Sweeping implies travelling only when n > k_a, so the flags stay separate.
+        priority = type_a_nodes.view(np.uint8) + trav_nodes
+        priority[sweep_nodes] = 3
+
+        members = by_rep[bounds[chunk] : bounds[chunk + 1]]
+        local = np.searchsorted(batch, rep[bounds[chunk] : bounds[chunk + 1]])
+        batch_ta = type_a_nodes.any(axis=1)[local]
+        has_ta[members] = batch_ta
+        has_trav[members] = trav_nodes.any(axis=1)[local]
+        has_sweep[members] = sweep_nodes.any(axis=1)[local]
+        for g, perm in enumerate(perms):
+            pick = (element[members] == g) & batch_ta
+            if not pick.any():
+                continue
+            rows_g = local[pick]
+            first = np.argmax(priority[rows_g][:, perm], axis=1)
+            wit_state[members[pick]] = first
+            wit_kmax[members[pick]] = max_ham[rows_g, perm[first]]
     return has_ta, has_trav, has_sweep, wit_state, wit_kmax
 
 
@@ -372,10 +463,15 @@ def search_type_a(
     if any(n < 2 for n in lengths):
         raise ValueError("scan lengths must be at least 2")
     mask = interesting_mask()
+    rules_total = RULE_SPACE_SIZE
     if rule_indices is not None:
+        chosen = np.unique(np.asarray(rule_indices, dtype=np.int64))
+        if len(chosen) and (chosen[0] < 0 or chosen[-1] >= RULE_SPACE_SIZE):
+            raise ValueError(f"rule index must be in [0, {RULE_SPACE_SIZE})")
         restricted = np.zeros(RULE_SPACE_SIZE, dtype=bool)
-        restricted[np.asarray(rule_indices, dtype=np.int64)] = True
+        restricted[chosen] = True
         mask &= restricted
+        rules_total = len(chosen)
     fps = np.unique(fingerprint16(np.flatnonzero(mask)))
 
     # Per fingerprint: Type-A, travelling and sweeping at any length, and the
@@ -447,7 +543,7 @@ def search_type_a(
         sample_size=sample_size,
         seed=seed,
         coverage=tuple(coverage),
-        rules_total=RULE_SPACE_SIZE if rule_indices is None else len(rule_indices),
+        rules_total=rules_total,
         rules_interesting=int(mask.sum()),
         fingerprints_simulated=len(fps),
         rules_with_type_a_cycle=len(members),

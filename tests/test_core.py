@@ -1,5 +1,7 @@
 """Domain-type behavior: filaments, neighborhoods, pattern matching, tables."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -52,6 +54,36 @@ def test_filament_uniform_and_random():
 def test_filament_normalizes_numpy_integers():
     f = Filament(tuple(np.array([1, 0], dtype=np.uint8)))
     assert all(type(c) is int for c in f.cells)
+
+
+@pytest.mark.parametrize(
+    "cells, shown",
+    [
+        ((), None),
+        ([], None),
+        ((0, True), "True"),
+        ((False,), "False"),
+        ((1, -1, -2), "-1"),
+        ((np.int64(2), np.int8(-3)), "-3"),
+        ((0, 1.0), "1.0"),
+        ((0, "1"), "'1'"),
+    ],
+)
+def test_filament_rejects_bad_rows_with_the_first_bad_cell(cells, shown):
+    # An exact-int row takes a one-check path; everything else goes cell by
+    # cell, and the message names the first offending cell.
+    message = "at least one cell" if shown is None else f"got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        Filament(cells)
+
+
+def test_filament_keeps_exact_ints_and_converts_the_rest():
+    row = (0, 2, 1, 7)
+    assert Filament(row).cells == Filament([0, 2, 1, 7]).cells == row
+    mixed = Filament((np.uint8(1), 0, np.int64(3)))
+    assert mixed.cells == (1, 0, 3)
+    assert all(type(c) is int for c in mixed.cells)
+    assert Filament(np.array([2, 0])).cells == (2, 0)
 
 
 def test_neighborhood_of_interior_and_ends():

@@ -205,6 +205,20 @@ def test_scan_report_mentions_the_headline_numbers():
     assert "witnesses: 0" in text
 
 
+@pytest.mark.parametrize("indices", [[4039 - 2**18], [2**18], [91, -1]])
+def test_scan_rejects_rule_indices_outside_the_space(indices):
+    # A negative index would alias a real rule through NumPy indexing.
+    with pytest.raises(ValueError, match=r"^rule index must be in \[0, 262144\)$"):
+        search_type_a(lengths=(4,), rule_indices=indices)
+
+
+def test_scan_counts_each_rule_index_once():
+    verdict = search_type_a(lengths=(4,), rule_indices=[4039, 4039, 4039])
+    assert verdict.rules_total == 1
+    assert verdict == search_type_a(lengths=(4,), rule_indices=[4039])
+    assert search_type_a(lengths=(4,), rule_indices=[91, 4039, 91]).rules_total == 2
+
+
 def test_scan_memory_stays_bounded_at_length_twenty():
     # At n=20 a chunk is one 2**20-state row; a kernel that holds eight
     # such rows at once peaks near 410 MB on this call.
@@ -334,6 +348,134 @@ def test_scan_length_matches_the_reference_on_drawn_fingerprints(n, fps, k_a, da
     )
     starts = None if starts is None else np.array(starts, dtype=np.int64)
     assert_scan_matches_reference(np.array(sorted(fps), dtype=np.uint16), n, k_a, starts)
+
+
+@pytest.mark.parametrize("k_a", [3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_scan_length_matches_the_reference_on_every_fingerprint(n, k_a):
+    # With n <= k_a a cycle can sweep every cell without its changes spanning
+    # more than k_a positions, so sweeping holds without travelling.
+    fps = np.arange(1 << 16, dtype=np.uint16)
+    assert_scan_matches_reference(fps, n, k_a, None)
+    _, has_trav, has_sweep, _, _ = search._scan_length(fps, n, k_a, None)
+    assert (has_sweep & ~has_trav).any()
+
+
+def orbit_members(reps):
+    """Every fingerprint in the orbits of the given representatives, sorted."""
+    return np.unique(search._fingerprint_images(reps)).astype(np.uint16)
+
+
+@pytest.mark.parametrize("chunk_cells", [1 << 4, 3 << 7, 1 << 8])
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_scan_length_matches_the_reference_across_chunk_edges(n, chunk_cells, monkeypatch):
+    # One to a few representatives per chunk, so an orbit's members are
+    # mapped from whichever chunk holds their representative; lone members
+    # of other orbits make the fingerprint set not closed under the group.
+    monkeypatch.setattr(search, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(40 + n)
+    whole = orbit_members(rng.integers(0, 1 << 16, size=40))
+    lone = rng.integers(0, 1 << 16, size=30)
+    fps = np.unique(np.concatenate([whole, lone])).astype(np.uint16)
+    for k_a in (1, 2, 3):
+        assert_scan_matches_reference(fps, n, k_a, None)
+
+
+def test_scan_memory_stays_bounded_at_length_thirteen():
+    # 600 whole orbits, 2,345 fingerprints, 8 representatives per chunk. The
+    # kernel before the orbit reduction peaked at 3.97 MiB here; mapping
+    # members through int64 (members x 2**13) index arrays adds 2 MiB.
+    rep_of, _ = search._fingerprint_orbits()
+    reps = np.random.default_rng(13).choice(np.unique(rep_of), size=600, replace=False)
+    fps = np.flatnonzero(np.isin(rep_of, reps)).astype(np.uint16)
+    assert len(fps) == 2345
+    search._scan_length(fps[:1], 13, 2, None)  # fill the per-length caches
+    tracemalloc.start()
+    try:
+        has_ta = search._scan_length(fps, 13, 2, None)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert has_ta.sum() == 768
+    assert peak < 4 * 2**20
+
+
+# -- the symmetry group (id, R, C, RC) ------------------------------------------
+
+
+@given(st.integers(2, 8), st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=16))
+@settings(max_examples=40, deadline=None)
+def test_group_elements_conjugate_the_dynamics(n, fps):
+    # succ_{g.fp}(pi_g(s)) == pi_g(succ_fp(s)) for every state s.
+    fps = np.array(fps, dtype=np.uint16)
+    table = search._successor_table(fps, n)
+    images = search._fingerprint_images(fps)
+    for g, perm in enumerate(search._state_images(n)):
+        assert np.array_equal(search._successor_table(images[g], n)[:, perm], perm[table]), g
+
+
+def test_group_elements_are_involutions():
+    indices = np.arange(RULE_SPACE_SIZE)
+    images = search._rule_images(indices)
+    assert np.array_equal(images[0], indices)
+    for g in range(4):
+        assert np.array_equal(search._rule_images(images[g])[g], indices), g
+    # RC is R after C, and no two elements agree.
+    assert np.array_equal(search._rule_images(images[2])[1], images[3])
+    assert len({tuple(images[g, :64].tolist()) for g in range(4)}) == 4
+    fps = np.arange(1 << 16)
+    fp_images = search._fingerprint_images(fps)
+    for g in range(4):
+        assert np.array_equal(search._fingerprint_images(fp_images[g])[g], fps), g
+    for n in range(1, 9):
+        perms = search._state_images(n)
+        assert np.array_equal(perms[0], np.arange(1 << n))
+        assert all(np.array_equal(perm[perm], perms[0]) for perm in perms), n
+
+
+def test_group_preserves_the_interesting_mask():
+    indices = np.arange(RULE_SPACE_SIZE)
+    mask = interesting_mask()
+    images = search._rule_images(indices)
+    for g in range(4):
+        assert np.array_equal(mask[images[g]], mask), g
+        # Bits 8 and 17 go only to each other, so fingerprints map alike.
+        assert np.array_equal(
+            fingerprint16(images[g]), search._fingerprint_images(fingerprint16(indices))[g]
+        ), g
+    # C takes the all-0 table to the all-1 table, and (empty, empty) bit 8 to bit 17.
+    assert search._rule_images([0, 1 << 8])[2].tolist() == [RULE_SPACE_SIZE - 1, RULE_SPACE_SIZE - 1 - (1 << 17)]
+    assert search._rule_images([1 << 8, 1 << 17])[1].tolist() == [1 << 8, 1 << 17]
+
+
+def test_fingerprints_fall_into_16768_orbits():
+    rep_of, element = search._fingerprint_orbits()
+    fps = np.arange(1 << 16)
+    assert len(np.unique(rep_of)) == 16768
+    images = search._fingerprint_images(rep_of)
+    assert np.array_equal(images[element, fps], fps)
+    assert (rep_of <= fps).all()
+    assert np.array_equal(rep_of[rep_of], rep_of)
+    assert np.array_equal(element[rep_of], np.zeros(1 << 16, dtype=np.uint8))
+
+
+def test_scan_over_single_members_of_orbits_matches_a_per_fingerprint_run(monkeypatch):
+    # One member from each of 60 orbits, mostly not the representative, so
+    # every witness is mapped back from a fingerprint outside the subset.
+    rep_of, _ = search._fingerprint_orbits()
+    rng = np.random.default_rng(9)
+    reps = rng.choice(np.unique(rep_of), size=60, replace=False)
+    members = search._fingerprint_images(reps)[np.arange(60) % 4, np.arange(60)]
+    ends = rng.integers(0, 4, size=60)  # the (empty, empty) bits 8 and 17
+    members = members.astype(np.int64)
+    indices = ((members & 0xFF) | (members & 0xFF00) << 1 | (ends & 1) << 8 | (ends >> 1) << 17).tolist()
+    for kwargs in ({"lengths": (3, 4, 5, 6)}, {"lengths": (2, 4), "k_a": 3}):
+        verdict = search_type_a(rule_indices=indices, **kwargs)
+        found = fingerprint16([w.rule_index for w in verdict.witnesses])
+        assert (rep_of[found] != found).any()
+        monkeypatch.setattr(search, "_scan_length", reference_scan_length)
+        assert search_type_a(rule_indices=indices, **kwargs) == verdict
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", range(2, 7))

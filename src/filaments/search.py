@@ -374,7 +374,7 @@ def _scan_length(
     wit_state = np.full(len(fps), -1, dtype=np.int64)
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
 
-    for chunk, start in enumerate(range(0, len(reps), rows)):
+    for start, lo, hi in zip(range(0, len(reps), rows), bounds, bounds[1:]):
         batch = reps[start : start + rows]
         # Built in place, so that only word and walk are alive during the doubling.
         walk = _successor_table(batch, n)
@@ -401,8 +401,8 @@ def _scan_length(
         priority = type_a_nodes.view(np.uint8) + trav_nodes
         priority[sweep_nodes] = 3
 
-        members = by_rep[bounds[chunk] : bounds[chunk + 1]]
-        local = np.searchsorted(batch, rep[bounds[chunk] : bounds[chunk + 1]])
+        members = by_rep[lo:hi]
+        local = np.searchsorted(batch, rep[lo:hi])
         batch_ta = type_a_nodes.any(axis=1)[local]
         has_ta[members] = batch_ta
         has_trav[members] = trav_nodes.any(axis=1)[local]
@@ -411,10 +411,10 @@ def _scan_length(
             pick = (element[members] == g) & batch_ta
             if not pick.any():
                 continue
-            rows_g = local[pick]
+            rows_g, picked = local[pick], members[pick]
             first = np.argmax(priority[rows_g][:, perm], axis=1)
-            wit_state[members[pick]] = first
-            wit_kmax[members[pick]] = max_ham[rows_g, perm[first]]
+            wit_state[picked] = first
+            wit_kmax[picked] = max_ham[rows_g, perm[first]]
     return has_ta, has_trav, has_sweep, wit_state, wit_kmax
 
 

@@ -40,100 +40,60 @@ Run: python3 scripts/derive_bouncer_completion.py
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
+from functools import cache
 
 import numpy as np
 
-from filaments.core import EMPTY, Filament
-from filaments.engine import step_array
+from filaments.engine import all_states_matrix, neighborhood_keys, state_ids
 from filaments.rules import bouncer_core_rule
 
 E = 2  # window code for a missing neighbor (states are 0 and 1)
+# A table is the flattened lookup table, a window a flat key into it (neighborhood_keys).
+SHAPE = (2, 3, 3, 3, 3)  # lookup-table axes: current, l2, l1, r1, r2
 
 LEFT_SIDES = [(0, 0), (0, 1), (1, 0), (1, 1), (E, 0), (E, 1), (E, E)]
 RIGHT_SIDES = [(0, 0), (0, 1), (1, 0), (1, 1), (0, E), (1, E), (E, E)]
 
 
-def cycle_states(n: int) -> list[tuple[int, ...]]:
-    """The bounce cycle for length n: single 0 runs right, pair runs left."""
-    states = []
-    for i in range(n - 1):
-        s = [1] * n
-        s[i] = 0
-        states.append(tuple(s))
-    for i in range(n - 2, -1, -1):
-        s = [1] * n
-        s[i] = 0
-        s[i + 1] = 0
-        states.append(tuple(s))
+def cycle_states(n: int) -> np.ndarray:
+    """The bounce cycle for length n in order: single 0 runs right, pair runs left."""
+    states = np.ones((2 * (n - 1), n), dtype=np.uint8)
+    runs = np.arange(n - 1)
+    states[runs, runs] = 0
+    pairs = np.arange(n - 2, -1, -1)
+    states[n - 1 + runs, pairs] = 0
+    states[n - 1 + runs, pairs + 1] = 0
     return states
 
 
-def windows_of(state: tuple[int, ...], nxt: tuple[int, ...]):
-    """Yield ((current, l2, l1, r1, r2), next_value) for every cell."""
-    n = len(state)
-    for i, c in enumerate(state):
-        l2 = state[i - 2] if i >= 2 else E
-        l1 = state[i - 1] if i >= 1 else E
-        r1 = state[i + 1] if i + 1 < n else E
-        r2 = state[i + 2] if i + 2 < n else E
-        yield (c, l2, l1, r1, r2), nxt[i]
+def window(key: int) -> tuple[int, ...]:
+    """(current, l2, l1, r1, r2) of a flat window key."""
+    return tuple(int(v) for v in np.unravel_index(key, SHAPE))
 
 
-def pinned_windows(max_n: int) -> dict[tuple[int, ...], int]:
+def pinned_windows(max_n: int) -> dict[int, int]:
     """Window -> forced output, over all bounce cycles up to length max_n."""
-    pinned: dict[tuple[int, ...], int] = {}
+    keys, outs = [], []
     for n in range(2, max_n + 1):
         states = cycle_states(n)
-        for t, s in enumerate(states):
-            nxt = states[(t + 1) % len(states)]
-            for window, out in windows_of(s, nxt):
-                if window in pinned and pinned[window] != out:
-                    raise AssertionError(f"cycle dynamics disagree on window {window}")
-                pinned[window] = out
-    return pinned
+        keys.append(neighborhood_keys(states, 2, 2).ravel())
+        outs.append(np.roll(states, -1, axis=0).ravel())
+    pairs = np.unique(np.concatenate(keys).astype(np.int64) * 2 + np.concatenate(outs))
+    if len(np.unique(pairs >> 1)) != len(pairs):
+        raise AssertionError("cycle dynamics disagree on a window")
+    return dict(zip((pairs >> 1).tolist(), (pairs & 1).tolist()))
 
 
-def core_table() -> np.ndarray:
-    """Dense (2,3,3,3,3) next-state table of the hand-written core."""
-    rule = bouncer_core_rule()
-    table = np.empty((2, 3, 3, 3, 3), dtype=np.uint8)
-    for c in range(2):
-        table[c] = c
-    code = {0: 0, 1: 1, EMPTY: E}
-    for e in rule.entries:
-        l2, l1 = (code[v] for v in e.left)
-        r1, r2 = (code[v] for v in e.right)
-        table[e.current, l2, l1, r1, r2] = e.next_state
-    return table
+def admissible_windows() -> list[int]:
+    return [int(np.ravel_multi_index((c, *left, *right), SHAPE))
+            for c in range(2) for left in LEFT_SIDES for right in RIGHT_SIDES]
 
 
-def admissible_windows():
-    for c in range(2):
-        for left in LEFT_SIDES:
-            for right in RIGHT_SIDES:
-                yield (c, left[0], left[1], right[0], right[1])
-
-
-def successor_ids(table: np.ndarray, n: int) -> np.ndarray:
-    """Successor state id for every length-n state under the dense table."""
-    total = 1 << n
-    ids = np.arange(total, dtype=np.int64)
-    cells = np.empty((total, n), dtype=np.uint8)
-    for pos in range(n):
-        cells[:, n - 1 - pos] = (ids >> pos) & 1
-    padded = np.full((total, n + 4), E, dtype=np.uint8)
-    padded[:, 2 : 2 + n] = cells
-    stepped = table[
-        cells,
-        padded[:, 0:n],
-        padded[:, 1 : 1 + n],
-        padded[:, 3 : 3 + n],
-        padded[:, 4 : 4 + n],
-    ]
-    powers = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    return stepped.astype(np.int64) @ powers
+@cache
+def _length_setup(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window keys of every length-n state, and the bounce-cycle state ids."""
+    return neighborhood_keys(all_states_matrix(2, n), 2, 2), state_ids(cycle_states(n), 2)
 
 
 def nonconverging(table: np.ndarray, n: int) -> np.ndarray:
@@ -142,28 +102,14 @@ def nonconverging(table: np.ndarray, n: int) -> np.ndarray:
     The all-1's state is excluded for n >= 3, where it is provably frozen
     by the pinned cycle windows; at n = 2 it is fixable and counted.
     """
-    succ = successor_ids(table, n)
-    final = succ.copy()
-    steps = 1
-    while steps < (1 << n):
+    keys, cycle_ids = _length_setup(n)
+    final = state_ids(table[keys], 2)
+    for _ in range(n):  # 2**n steps reach a cycle from every state
         final = final[final]
-        steps *= 2
-    cyc_ids = {state_id(s) for s in cycle_states(n)}
-    ok = np.isin(final, np.fromiter(cyc_ids, dtype=np.int64))
+    ok = np.isin(final, cycle_ids)
     if n >= 3:
-        ok[(1 << n) - 1] = True
+        ok[-1] = True
     return np.flatnonzero(~ok)
-
-
-def state_id(state: tuple[int, ...]) -> int:
-    v = 0
-    for c in state:
-        v = (v << 1) | c
-    return v
-
-
-def id_state(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def baseline_output(window: tuple[int, ...]) -> int:
@@ -190,27 +136,24 @@ def objective(table: np.ndarray, lengths: range) -> int:
     return sum(len(nonconverging(table, n)) for n in lengths)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--protect", type=int, default=40,
-                        help="pin windows from cycles up to this length (default 40)")
-    parser.add_argument("--max-verify", type=int, default=12,
-                        help="verify convergence for all states up to this length")
-    parser.add_argument("--seed", type=int, default=0, help="tie-break seed")
-    args = parser.parse_args()
+def core_flips() -> set[int]:
+    """Admissible windows whose core output differs from the current cell."""
+    core = bouncer_core_rule().lookup_table.ravel()
+    return {w for w in admissible_windows() if core[w] != window(w)[0]}
 
-    pinned = pinned_windows(args.protect)
-    saturated = pinned_windows(args.protect + 8)
+
+def complete(protect: int = 40, max_verify: int = 12, seed: int = 0) -> np.ndarray:
+    """Steps 1 and 2: the core table plus pinned and greedily repaired outputs."""
+    pinned = pinned_windows(protect)
+    saturated = pinned_windows(protect + 8)
     print(f"pinned windows: {len(pinned)} (saturated: {pinned == saturated})")
 
-    table = core_table()
-    core_defined = {
-        w for w in admissible_windows() if table[w] != w[0]
-    }
+    table = bouncer_core_rule().lookup_table.ravel().copy()
+    core_defined = core_flips()
     mandatory = 0
     for w, out in pinned.items():
         if w in core_defined and table[w] != out:
-            raise AssertionError(f"core table contradicts pinned window {w}: "
+            raise AssertionError(f"core table contradicts pinned window {window(w)}: "
                                  f"{table[w]} vs {out}")
         if table[w] != out:
             table[w] = out  # cycle-demanded flip the core leaves out
@@ -222,13 +165,13 @@ def main() -> int:
           f"{mandatory}, free: {len(free)}")
 
     for w in free:
-        table[w] = baseline_output(w)
+        table[w] = baseline_output(window(w))
 
-    lengths = range(2, args.max_verify + 1)
+    lengths = range(2, max_verify + 1)
     score = objective(table, lengths)
     print(f"baseline objective (non-converging states, n in {lengths}): {score}")
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     sweep = 0
     while score > 0:
         sweep += 1
@@ -247,10 +190,25 @@ def main() -> int:
         if not improved:
             print("stuck: greedy single-flip search cannot improve further")
             break
+    return table
 
-    for n in lengths:
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--protect", type=int, default=40,
+                        help="pin windows from cycles up to this length (default 40)")
+    parser.add_argument("--max-verify", type=int, default=12,
+                        help="verify convergence for all states up to this length")
+    parser.add_argument("--seed", type=int, default=0, help="tie-break seed")
+    args = parser.parse_args()
+
+    table = complete(args.protect, args.max_verify, args.seed)
+
+    score = 0
+    for n in range(2, args.max_verify + 1):
         bad = nonconverging(table, n)
-        states = [" ".join(map(str, id_state(v, n))) for v in bad[:8]]
+        score += len(bad)
+        states = [" ".join(map(str, row)) for row in all_states_matrix(2, n)[bad[:8]].tolist()]
         print(f"n={n}: non-converging {len(bad)}  {states}")
 
     # Cycle preservation over the protected range (defense in depth; the
@@ -258,13 +216,7 @@ def main() -> int:
     preserved = True
     for n in range(2, args.protect + 1):
         states = cycle_states(n)
-        arr = np.array(states, dtype=np.uint8)
-        padded = np.full((len(states), n + 4), E, dtype=np.uint8)
-        padded[:, 2 : 2 + n] = arr
-        stepped = table[arr, padded[:, 0:n], padded[:, 1 : 1 + n],
-                        padded[:, 3 : 3 + n], padded[:, 4 : 4 + n]]
-        expect = np.array(states[1:] + states[:1], dtype=np.uint8)
-        if not (stepped == expect).all():
+        if not (table[neighborhood_keys(states, 2, 2)] == np.roll(states, -1, axis=0)).all():
             preserved = False
             print(f"cycle broken at n={n}")
     print(f"cycle preserved for n in 2..{args.protect}: {preserved}")
@@ -272,15 +224,17 @@ def main() -> int:
     if score == 0:
         print("\ncompletion entries (all flips outside the core), for rules.py:")
         names = {0: "0", 1: "1", E: "EMPTY"}
+        outside = sorted(set(admissible_windows()) - core_flips())
         flips = 0
-        for w in sorted(set(admissible_windows()) - core_defined):
-            c, l2, l1, r1, r2 = w
+        for w in outside:
+            c, l2, l1, r1, r2 = window(w)
             out = int(table[w])
             if out != c:
                 flips += 1
                 print(f"    RuleEntry({c}, ({names[l2]}, {names[l1]}), "
                       f"({names[r1]}, {names[r2]}), {out}),")
-        holds = sum(1 for w in free if int(table[w]) == w[0])
+        free = set(outside) - pinned_windows(args.protect).keys()
+        holds = sum(1 for w in free if int(table[w]) == window(w)[0])
         print(f"# completion flips: {flips} "
               f"(greedy left {holds} of {len(free)} free windows on hold)")
         return 0

@@ -7,6 +7,7 @@ bytes. Run it after an intentional rendering or rule change, eyeball the
 diff, and commit the result.
 """
 
+import argparse
 import os
 
 from filaments.core import Filament
@@ -59,6 +60,7 @@ def build():
 
 
 def main():
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, text in sorted(build().items()):
         path = os.path.join(GOLDEN_DIR, name)

@@ -172,6 +172,8 @@ def census(
     lexicographic; the functional graph over all s**n states is classified in
     one pass, which agrees with per-state cycle detection by determinism.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if rule.num_states**n > budget:
         raise CensusBudgetError(
             f"{rule.num_states}**{n} states exceed the budget of {budget}"

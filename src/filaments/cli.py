@@ -45,7 +45,8 @@ from .rules import (
     rule_named,
     serialize_rule,
 )
-from .search import hunt_viable_3state, rule_from_index, rule_index, search_type_a, write_rule_audit_csv
+from .search import hunt_viable_3state, rule_from_index, rule_index, search_type_a
+from .search import write_rule_audit_csv, write_witness_csv
 
 __all__ = ["main"]
 
@@ -221,6 +222,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hunt-lengths", default="4,5", help="probe lengths for the 3-state spaces")
     p.add_argument("--audit-csv", help="write every rule's classification as CSV here")
+    p.add_argument("--witness-csv", help="write one CSV row per witness rule here")
     p.add_argument("--out", help="report file (default stdout)")
 
     p = sub.add_parser("rule-info", help="print a rule's structural classification")
@@ -317,10 +319,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.audit_csv:
             with open(args.audit_csv, "w") as fh:
                 write_rule_audit_csv(fh)
+        if args.witness_csv:
+            with open(args.witness_csv, "w", newline="") as fh:
+                write_witness_csv(verdict.witnesses, fh)
         _write_out(verdict.report(), args.out)
         return EXIT_OK if verdict.complete else EXIT_UNRESOLVED
-    if args.audit_csv:
-        raise UsageError("--audit-csv only applies to the 2-state space")
+    for flag, value in (("--audit-csv", args.audit_csv), ("--witness-csv", args.witness_csv)):
+        if value:
+            raise UsageError(f"{flag} only applies to the 2-state space")
     ns = _parse_lengths(args.hunt_lengths)
     if args.space == "3-state-sweeps":
         result = hunt_viable_3state(ns=ns)

@@ -31,6 +31,7 @@ every state's cycle without bounding the transient by simulation length.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -58,6 +59,7 @@ __all__ = [
     "search_type_a",
     "sweep_rule",
     "write_rule_audit_csv",
+    "write_witness_csv",
 ]
 
 RULE_SPACE_BITS = 18
@@ -67,7 +69,7 @@ RULE_SPACE_SIZE = 1 << RULE_SPACE_BITS
 _MAX_TABLE_LENGTH = 22
 
 
-def rule_from_index(index: int, validate: bool = True) -> Rule:
+def rule_from_index(index: int) -> Rule:
     """The two-state radius-1 rule encoded by an 18-bit index."""
     if not 0 <= index < RULE_SPACE_SIZE:
         raise ValueError(f"rule index must be in [0, {RULE_SPACE_SIZE})")
@@ -84,7 +86,6 @@ def rule_from_index(index: int, validate: bool = True) -> Rule:
         radius=1,
         symmetric=False,
         entries=tuple(entries),
-        validate=validate,
     )
 
 
@@ -146,6 +147,16 @@ def write_rule_audit_csv(fp: IO[str]) -> None:
         ]
     )
     np.savetxt(fp, data, fmt="%d", delimiter=",")
+
+
+def write_witness_csv(witnesses: Iterable[SearchWitness], fp: IO[str]) -> None:
+    """One ``csv.writer`` row per witness rule; open ``fp`` with ``newline=""``."""
+    writer = csv.writer(fp)
+    writer.writerow(["rule_index", "n", "initial", "period", "k_max", "travelling", "sweeping"])
+    writer.writerows(
+        [w.rule_index, w.n, w.initial, w.period, w.k_max, int(w.travelling), int(w.sweeping)]
+        for w in witnesses
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,8 +405,9 @@ def _scan_length(
         union = word & (size - 1)
 
         type_a_nodes = on_cycle & (max_ham >= 1) & (max_ham <= k_a)
-        # The changed cells span more than k_a positions.
-        trav_nodes = type_a_nodes & (union >= (union & -union) << k_a)
+        # The changed cells span more than k_a positions, which needs k_a < n,
+        # so the shift stops at n; a shift by a large k_a would overflow int64.
+        trav_nodes = type_a_nodes & (union >= (union & -union) << min(k_a, n))
         sweep_nodes = type_a_nodes & (np.bitwise_count(union) == n)
         # Sweeping implies travelling only when n > k_a, so the flags stay separate.
         priority = type_a_nodes.view(np.uint8) + trav_nodes
@@ -462,6 +474,8 @@ def search_type_a(
     lengths = tuple(sorted(set(int(n) for n in lengths)))
     if any(n < 2 for n in lengths):
         raise ValueError("scan lengths must be at least 2")
+    if k_a < 1:
+        raise ValueError("k_a must be at least 1: a Type-A cycle changes 1..k_a cells per step")
     mask = interesting_mask()
     rules_total = RULE_SPACE_SIZE
     if rule_indices is not None:

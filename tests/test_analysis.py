@@ -185,6 +185,12 @@ def test_census_budget_guard():
         census(automaton_i(), 20, budget=10**6)
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_census_rejects_lengths_below_one(n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        census(automaton_i(), n)
+
+
 def test_census_unresolved_under_tiny_horizon():
     c = census(automaton_i(), 4, horizon=2)
     assert c.unresolved > 0

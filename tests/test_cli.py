@@ -7,6 +7,7 @@ import pytest
 from filaments.cli import main, parse_initial
 from filaments.core import Filament
 from filaments.rules import serialize_rule, automaton_ii
+from filaments.search import search_type_a
 
 
 # -- initial-state parsing -------------------------------------------------------
@@ -120,6 +121,13 @@ def test_census_respects_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_census_rejects_lengths_below_one(capsys, n):
+    rc = main(["census", "--rule", "automaton-i", "--n", n])
+    assert rc == 1
+    assert "n must be at least 1" in capsys.readouterr().err
+
+
 def test_population_csv(capsys, tmp_path):
     path = tmp_path / "pop.csv"
     rc = main(["population", "--rule", "automaton-i", "--m", "4", "--ticks", "10",
@@ -148,6 +156,21 @@ def test_search_two_state_scan(capsys):
     assert rc == 2  # sampled coverage is incomplete by construction
     out = capsys.readouterr().out
     assert "coverage: 4=sampled" in out
+
+
+def test_search_witness_csv(capsys, tmp_path):
+    path = tmp_path / "witnesses.csv"
+    rc = main(["search", "--lengths", "4..5", "--witness-csv", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("two-state radius-1 rule scan\n")
+    expected = ["rule_index,n,initial,period,k_max,travelling,sweeping"] + [
+        f"{w.rule_index},{w.n},{w.initial},{w.period},{w.k_max},{int(w.travelling)},{int(w.sweeping)}"
+        for w in search_type_a(lengths=(4, 5)).witnesses
+    ]
+    assert path.read_bytes().decode() == "".join(row + "\r\n" for row in expected)
+    rc = main(["search", "--space", "3-state-sweeps", "--witness-csv", str(path)])
+    assert rc == 1
+    assert "--witness-csv only applies to the 2-state space" in capsys.readouterr().err
 
 
 def test_search_hunt_smoke(capsys):

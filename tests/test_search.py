@@ -1,5 +1,6 @@
 """Exhaustive two-state scan machinery and the three-state viability hunt."""
 
+import dataclasses
 import io
 import tracemalloc
 from fractions import Fraction
@@ -217,6 +218,19 @@ def test_scan_counts_each_rule_index_once():
     assert verdict.rules_total == 1
     assert verdict == search_type_a(lengths=(4,), rule_indices=[4039])
     assert search_type_a(lengths=(4,), rule_indices=[91, 4039, 91]).rules_total == 2
+
+
+def test_scan_travelling_flag_holds_for_any_k_a():
+    # At n = 4 no cycle's changed cells span more than k_a >= 5 positions; a span
+    # test that shifts by k_a itself reads travelling cycles from k_a = 62 on.
+    indices = np.random.default_rng(11).choice(RULE_SPACE_SIZE, size=1 << 14, replace=False)
+    verdicts = [search_type_a(lengths=(4,), k_a=k_a, rule_indices=indices) for k_a in (5, 62, 63, 64)]
+    assert verdicts[0].rules_with_type_a_cycle > 0
+    assert verdicts[0].rules_with_travelling_type_a_cycle == 0
+    for verdict in verdicts[1:]:
+        assert verdict == dataclasses.replace(verdicts[0], k_a=verdict.k_a)
+    with pytest.raises(ValueError, match="k_a must be at least 1"):
+        search_type_a(lengths=(4,), k_a=0)
 
 
 def test_scan_memory_stays_bounded_at_length_twenty():

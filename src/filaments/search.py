@@ -27,11 +27,16 @@ fingerprint byte, split at the middle of the filament so that they stay
 small at every length. Pointer doubling over flat indices (Wyllie's list
 ranking) then walks every state 2**n steps in n rounds, which classifies
 every state's cycle without bounding the transient by simulation length.
+The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
+columns that builds each ``SearchWitness`` only when it is read, so a
+caller pays for the witnesses it reads, not for all of them.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
+from collections import abc
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -50,6 +55,7 @@ __all__ = [
     "SearchVerdict",
     "SearchWitness",
     "SweepParams",
+    "Witnesses",
     "enumerate_sweep_params",
     "fingerprint16",
     "hunt_viable_3state",
@@ -149,14 +155,13 @@ def write_rule_audit_csv(fp: IO[str]) -> None:
     np.savetxt(fp, data, fmt="%d", delimiter=",")
 
 
-def write_witness_csv(witnesses: Iterable[SearchWitness], fp: IO[str]) -> None:
+def write_witness_csv(witnesses: Witnesses, fp: IO[str]) -> None:
     """One ``csv.writer`` row per witness rule; open ``fp`` with ``newline=""``."""
     writer = csv.writer(fp)
     writer.writerow(["rule_index", "n", "initial", "period", "k_max", "travelling", "sweeping"])
-    writer.writerows(
-        [w.rule_index, w.n, w.initial, w.period, w.k_max, int(w.travelling), int(w.sweeping)]
-        for w in witnesses
-    )
+    for rule, n, state, period, k_max, trav, sweep in witnesses._blocks():
+        initial = map(format, state, [f"0{k}b" for k in n])
+        writer.writerows(zip(rule, n, initial, period, k_max, map(int, trav), map(int, sweep)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +185,77 @@ class SearchWitness:
     sweeping: bool
 
 
+class Witnesses(abc.Sequence):
+    """The scan's witnesses as a read-only sequence of ``SearchWitness``.
+
+    The fields live in NumPy columns, one row per witness rule, and each
+    ``SearchWitness`` is built only when it is read: indexing builds one,
+    a slice is a ``Witnesses`` over the sliced columns, and iteration
+    builds them in blocks. Equality, hashing and ``repr`` go by the
+    witnesses' values, so a verdict that holds them compares, hashes and
+    prints as it would with a tuple of the same witnesses.
+    """
+
+    # One dtype per column, so that equal values hash alike. _MAX_TABLE_LENGTH
+    # bounds n, so a state id and a period fit 32 bits.
+    _DTYPES = (np.uint32, np.uint8, np.uint32, np.uint32, np.int8, np.bool_, np.bool_)
+    # Rows made into Python objects per block while iterating.
+    _BLOCK = 1 << 14
+
+    __slots__ = ("_columns",)
+
+    def __init__(
+        self,
+        rule_index: np.ndarray,
+        n: np.ndarray,
+        state: np.ndarray,
+        period: np.ndarray,
+        k_max: np.ndarray,
+        travelling: np.ndarray,
+        sweeping: np.ndarray,
+    ) -> None:
+        fields = (rule_index, n, state, period, k_max, travelling, sweeping)
+        columns = tuple(np.array(field, dtype=dtype) for field, dtype in zip(fields, self._DTYPES))
+        if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
+            raise ValueError("witness columns must be one-dimensional and of one length")
+        for column in columns:
+            column.flags.writeable = False
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Witnesses(*(column[key] for column in self._columns))
+        i = operator.index(key)
+        if not -len(self) <= i < len(self):
+            raise IndexError("witness index out of range")
+        rule, n, state, period, k_max, trav, sweep = (column[i].item() for column in self._columns)
+        return SearchWitness(rule, n, format(state, f"0{n}b"), period, k_max, trav, sweep)
+
+    def _blocks(self) -> Iterator[tuple[list, ...]]:
+        """The columns as Python lists, one block of rows at a time."""
+        for start in range(0, len(self), self._BLOCK):
+            yield tuple(column[start : start + self._BLOCK].tolist() for column in self._columns)
+
+    def __iter__(self) -> Iterator[SearchWitness]:
+        for block in self._blocks():
+            for rule, n, state, period, k_max, trav, sweep in zip(*block):
+                yield SearchWitness(rule, n, format(state, f"0{n}b"), period, k_max, trav, sweep)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Witnesses):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
+
+    def __hash__(self) -> int:
+        return hash(tuple(column.tobytes() for column in self._columns))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SearchVerdict:
     lengths: tuple[int, ...]
@@ -194,7 +270,7 @@ class SearchVerdict:
     rules_with_type_a_cycle: int
     rules_with_travelling_type_a_cycle: int
     rules_with_sweeping_type_a_cycle: int
-    witnesses: tuple[SearchWitness, ...]
+    witnesses: Witnesses
     complete: bool
 
     def report(self, max_witness_lines: int = 20) -> str:
@@ -454,6 +530,31 @@ def _witness_periods(fps: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
     return periods
 
 
+def _witness_fields(
+    fps: np.ndarray, mask: np.ndarray, witness: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """What the witness columns are gathered from.
+
+    ``witness`` holds the (n, state, k_max, travelling, sweeping) rows of
+    each fingerprint's first witness. Returns the interesting rule indices
+    with one of the fingerprints, in rule order; the position in ``fps``
+    of each one's fingerprint; and per fingerprint the witness's n, state,
+    period, k_max, travelling and sweeping.
+    """
+    wit_n, wit_state, wit_kmax, wit_trav, wit_sweep = witness
+    periods = np.zeros(len(fps), dtype=np.int64)
+    for n in np.unique(wit_n).tolist():
+        at_n = wit_n == n
+        periods[at_n] = _witness_periods(fps[at_n], wit_state[at_n], n)
+    # A fingerprint's four indices differ in bits 8 and 17, the (empty, empty) entries.
+    fp = fps.astype(np.int64)
+    members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
+    owner = np.broadcast_to(np.arange(len(fps))[:, None], members.shape)[mask[members]]
+    members = members[mask[members]]
+    order = np.argsort(members)
+    return members[order], owner[order], (wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep)
+
+
 def search_type_a(
     lengths: Iterable[int] = range(4, 11),
     k_a: int = 2,
@@ -520,36 +621,7 @@ def search_type_a(
         sweeping |= sweep
 
     flagged = np.flatnonzero(type_a)
-    wit_n, wit_state, wit_kmax, wit_trav, wit_sweep = witness[:, flagged]
-    periods = np.zeros(len(flagged), dtype=np.int64)
-    for n in np.unique(wit_n).tolist():
-        at_n = wit_n == n
-        periods[at_n] = _witness_periods(fps[flagged[at_n]], wit_state[at_n], n)
-    # The interesting members of each flagged fingerprint: its four indices
-    # differ in bits 8 and 17, the (empty, empty) entries.
-    fp = fps[flagged].astype(np.int64)
-    members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
-    owner = np.broadcast_to(np.arange(len(flagged))[:, None], members.shape)[mask[members]]
-    members = members[mask[members]]
-    order = np.argsort(members)
-    members, owner = members[order], owner[order]
-    # One tuple of witness fields per fingerprint, shared by its members.
-    shared = list(
-        zip(
-            wit_n.tolist(),
-            [format(s, f"0{n}b") for s, n in zip(wit_state.tolist(), wit_n.tolist())],
-            periods.tolist(),
-            wit_kmax.tolist(),
-            wit_trav.astype(bool).tolist(),
-            wit_sweep.astype(bool).tolist(),
-        )
-    )
-    block = 1 << 14  # index lists made per block stay small
-    witnesses = tuple(
-        SearchWitness(index, *shared[i])
-        for b in range(0, len(members), block)
-        for index, i in zip(members[b : b + block].tolist(), owner[b : b + block].tolist())
-    )
+    members, owner, fields = _witness_fields(fps[flagged], mask, witness[:, flagged])
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
@@ -563,7 +635,7 @@ def search_type_a(
         rules_with_type_a_cycle=len(members),
         rules_with_travelling_type_a_cycle=int(travelling[flagged][owner].sum()),
         rules_with_sweeping_type_a_cycle=int(sweeping[flagged][owner].sum()),
-        witnesses=witnesses,
+        witnesses=Witnesses(members, *(field[owner] for field in fields)),
         complete=complete,
     )
 
@@ -612,12 +684,44 @@ def enumerate_sweep_params() -> Iterator[SweepParams]:
         yield SweepParams(bulk=(b0, b1, b2), end=(e0, e1, e2))
 
 
-def _sweep_tables(params: Sequence[SweepParams]) -> np.ndarray:
-    """Dense (len(params), 3, 4, 4) next-state tables, code 3 for the empty boundary."""
-    slots = (None,) + tuple(product(range(3), range(3)))
+# Slot i of a bulk or end transition: None at 0, else the (v, w) or (u, z) pair i - 1.
+_SWEEP_SLOTS = (None,) + tuple(product(range(3), range(3)))
+
+
+def _sweep_slots(params: Sequence[SweepParams]) -> np.ndarray:
+    """Slot indices (len(params), 2, 3): [p, 0, c] of bulk[c] and [p, 1, c] of end[c]."""
+    slot = {s: i for i, s in enumerate(_SWEEP_SLOTS)}
+    picks = np.fromiter((slot[s] for p in params for s in p.bulk + p.end), np.intp, 6 * len(params))
+    return picks.reshape(len(params), 2, 3)
+
+
+def _sweep_space_slots() -> np.ndarray:
+    """Slot indices of all 49**3 sweep parameter sets, in enumerate_sweep_params order.
+
+    The space is a product of six axes (bulk[0], end[0], bulk[1], end[1],
+    bulk[2], end[2]) of seven slots each: None and the six pairs whose
+    target differs from the state.
+    """
+    options = np.array(
+        [[0] + [_SWEEP_SLOTS.index((v, w)) for v in range(3) for w in range(3) if w != c] for c in range(3)],
+        dtype=np.uint8,
+    )
+    axes = np.indices((7,) * 6, dtype=np.uint8).reshape(3, 2, -1)
+    return options[np.arange(3)[:, None, None], axes].transpose(2, 1, 0)
+
+
+def _slot_params(picks: np.ndarray) -> SweepParams:
+    """The SweepParams of one (2, 3) row of slot indices."""
+    bulk, end = (tuple(_SWEEP_SLOTS[i] for i in row) for row in picks.tolist())
+    return SweepParams(bulk=bulk, end=end)
+
+
+def _sweep_tables(picks: np.ndarray) -> np.ndarray:
+    """Dense (len(picks), 3, 4, 4) next-state tables of (len(picks), 2, 3) slot
+    indices, code 3 for the empty boundary."""
     # planes[c, i, j]: the (4, 4) plane of state c under bulk slot i and end slot j.
-    planes = np.empty((3, len(slots), len(slots), 4, 4), dtype=np.uint8)
-    for c, (i, bulk), (j, end) in product(range(3), enumerate(slots), enumerate(slots)):
+    planes = np.empty((3, len(_SWEEP_SLOTS), len(_SWEEP_SLOTS), 4, 4), dtype=np.uint8)
+    for c, (i, bulk), (j, end) in product(range(3), enumerate(_SWEEP_SLOTS), enumerate(_SWEEP_SLOTS)):
         plane = planes[c, i, j]
         plane[:] = c
         if bulk is not None:
@@ -626,9 +730,6 @@ def _sweep_tables(params: Sequence[SweepParams]) -> np.ndarray:
         if end is not None:
             u, z = end
             plane[3, u] = plane[u, 3] = z
-    slot = {s: i for i, s in enumerate(slots)}
-    picks = np.fromiter((slot[s] for p in params for s in p.bulk + p.end), np.intp, 6 * len(params))
-    picks = picks.reshape(len(params), 2, 3)
     return planes[np.arange(3), picks[:, 0], picks[:, 1]]
 
 
@@ -764,7 +865,8 @@ def hunt_viable_3state(
     matrices are exact rationals.
 
     The default space sweeps all 49**3 parameter combinations (see
-    SweepParams). Space "symmetric-sample" instead draws ``budget``
+    SweepParams), enumerated as six axes of slot indices; a SweepParams is
+    made only for each viable candidate. Space "symmetric-sample" instead draws ``budget``
     uniformly random symmetric tables from the full 3**30 symmetric rule
     space, which is far too large to enumerate.
 
@@ -783,8 +885,8 @@ def hunt_viable_3state(
             f"so probe lengths up to {_MAX_HUNT_LENGTH - 1}"
         )
     if space == "sweeps":
-        params = list(enumerate_sweep_params() if candidates is None else candidates)
-        tables = _sweep_tables(params)
+        picks = _sweep_space_slots() if candidates is None else _sweep_slots(list(candidates))
+        tables = _sweep_tables(picks)
     elif space == "symmetric-sample":
         if candidates is not None:
             raise ValueError("explicit candidates only apply to the sweeps space")
@@ -795,7 +897,7 @@ def hunt_viable_3state(
         tables = np.empty((budget, 3, 4, 4), dtype=np.uint8)
         upper = np.triu_indices(4)
         tables[:, :, upper[0], upper[1]] = tables[:, :, upper[1], upper[0]] = draws
-        params = [None] * budget
+        picks = None
     else:
         raise ValueError(f"unknown space {space!r}")
 
@@ -815,7 +917,7 @@ def hunt_viable_3state(
         p_ld, p_dl = Fraction(ld, ll + ld), Fraction(dl, dl + dd)
         found.append(
             HuntCandidate(
-                params=params[interesting[i]],
+                params=None if picks is None else _slot_params(picks[interesting[i]]),
                 table=tuple(tuple(map(tuple, plane)) for plane in tables[interesting[i]].tolist()),
                 matrix=((1 - p_ld, p_ld), (p_dl, 1 - p_dl)),
                 stationary_live=p_dl / (p_ld + p_dl),

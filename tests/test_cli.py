@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, initial-state parsing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +233,16 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["trace", "--help"]) == 0
     assert "--steps" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = lambda *args: subprocess.run(  # noqa: E731
+        [sys.executable, "-m", "filaments", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    result = run("--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: filaments")
+    # The process exits with main()'s return code, here a usage error.
+    assert run("no-such-command").returncode == 1

@@ -17,7 +17,9 @@ from filaments.engine import all_states_matrix, detect_cycle, run_trace
 from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule
 from filaments.search import (
     RULE_SPACE_SIZE,
+    SearchWitness,
     SweepParams,
+    Witnesses,
     enumerate_sweep_params,
     fingerprint16,
     hunt_viable_3state,
@@ -27,6 +29,7 @@ from filaments.search import (
     search_type_a,
     sweep_rule,
     write_rule_audit_csv,
+    write_witness_csv,
 )
 
 # Sweep parameters that reproduce the two catalogue sweep rules.
@@ -245,6 +248,170 @@ def test_scan_memory_stays_bounded_at_length_twenty():
     assert verdict.coverage == ((20, "sampled"),)
     assert {w.rule_index for w in verdict.witnesses} == {148324, 152905}
     assert peak < 100 * 2**20
+
+
+# -- witness columns -------------------------------------------------------------
+
+
+def reference_witness_tuple(members, owner, fields):
+    """The witnesses as search_type_a built them before the columns: a tuple
+    with one SearchWitness per member, from its fingerprint's shared fields."""
+    wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep = fields
+    shared = list(
+        zip(
+            wit_n.tolist(),
+            [format(s, f"0{n}b") for s, n in zip(wit_state.tolist(), wit_n.tolist())],
+            periods.tolist(),
+            wit_kmax.tolist(),
+            wit_trav.astype(bool).tolist(),
+            wit_sweep.astype(bool).tolist(),
+        )
+    )
+    block = 1 << 14
+    return tuple(
+        SearchWitness(index, *shared[i])
+        for b in range(0, len(members), block)
+        for index, i in zip(members[b : b + block].tolist(), owner[b : b + block].tolist())
+    )
+
+
+def typed_fields(witness):
+    return [(type(v), v) for v in (getattr(witness, f.name) for f in dataclasses.fields(witness))]
+
+
+@given(
+    st.lists(st.integers(0, RULE_SPACE_SIZE - 1), max_size=400),
+    st.sampled_from([{"lengths": (2, 3, 4), "k_a": 3}, {"lengths": (3, 11), "budget": 2**10}]),
+)
+@settings(max_examples=30, deadline=None)
+def test_witnesses_match_the_reference_tuple(indices, kwargs):
+    # The second case samples length 11, so witnesses there come from a start set.
+    inputs = []
+
+    def recorded(*args):
+        inputs.append(witness_fields(*args))
+        return inputs[-1]
+
+    witness_fields = search._witness_fields
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_witness_fields", recorded)
+        verdict = search_type_a(rule_indices=indices, **kwargs)
+    assert len(inputs) == 1
+    want = reference_witness_tuple(*inputs[0])
+    assert [typed_fields(w) for w in verdict.witnesses] == [typed_fields(w) for w in want]
+    assert [typed_fields(verdict.witnesses[i]) for i in range(len(want))] == [typed_fields(w) for w in want]
+
+
+@pytest.fixture(scope="module")
+def small_verdict():
+    indices = np.random.default_rng(21).choice(RULE_SPACE_SIZE, size=600, replace=False)
+    return search_type_a(lengths=(4, 5), rule_indices=indices)
+
+
+def test_witnesses_index_like_a_tuple(small_verdict):
+    witnesses = small_verdict.witnesses
+    whole = tuple(witnesses)
+    assert len(whole) == len(witnesses) > 100
+    for i in (0, 1, len(whole) - 1, -1, -2, -len(whole), np.int64(3)):
+        assert witnesses[i] == whole[i]
+    for i in (len(whole), -len(whole) - 1):
+        with pytest.raises(IndexError):
+            witnesses[i]
+    with pytest.raises(TypeError):
+        witnesses["0"]
+    assert whole.index(whole[7]) == witnesses.index(whole[7]) == 7
+    assert whole[7] in witnesses
+    assert list(reversed(witnesses)) == list(reversed(whole))
+
+
+@pytest.mark.parametrize("key", [slice(None), slice(2, 9), slice(None, None, -3), slice(-4, None),
+                                 slice(5, 5), slice(10**6, None), slice(9, 2)])
+def test_witness_slices_are_witnesses(small_verdict, key):
+    part = small_verdict.witnesses[key]
+    assert isinstance(part, Witnesses)
+    assert tuple(part) == tuple(small_verdict.witnesses)[key]
+    assert bool(part) == bool(tuple(small_verdict.witnesses)[key])
+
+
+def test_empty_witnesses_are_false():
+    verdict = search_type_a(lengths=(4,), rule_indices=[186, 4039, 0, 262143])
+    assert not verdict.witnesses
+    assert len(verdict.witnesses) == 0
+    assert list(verdict.witnesses) == []
+    assert repr(verdict.witnesses) == "()"
+    with pytest.raises(IndexError):
+        verdict.witnesses[0]
+
+
+def test_witness_iteration_equals_indexing_across_blocks(small_verdict, monkeypatch):
+    monkeypatch.setattr(Witnesses, "_BLOCK", 7)
+    witnesses = small_verdict.witnesses
+    rows = [witnesses[i] for i in range(len(witnesses))]
+    assert list(witnesses) == rows
+    buf = io.StringIO(newline="")
+    write_witness_csv(witnesses, buf)
+    assert buf.getvalue() == "".join(
+        row + "\r\n"
+        for row in ["rule_index,n,initial,period,k_max,travelling,sweeping"] + [
+            f"{w.rule_index},{w.n},{w.initial},{w.period},{w.k_max},{int(w.travelling)},{int(w.sweeping)}"
+            for w in rows
+        ]
+    )
+
+
+def test_verdicts_compare_and_hash_by_witness_values(small_verdict):
+    indices = np.random.default_rng(21).choice(RULE_SPACE_SIZE, size=600, replace=False)
+    again = search_type_a(lengths=(4, 5), rule_indices=indices)
+    assert again.witnesses is not small_verdict.witnesses
+    assert again == small_verdict
+    assert hash(again) == hash(small_verdict)
+    witnesses = small_verdict.witnesses
+    assert witnesses[:] == witnesses and hash(witnesses[:]) == hash(witnesses)
+    other = search_type_a(lengths=(4, 5), rule_indices=indices, k_a=1)
+    assert other.witnesses != witnesses
+    changed = dataclasses.replace(small_verdict, witnesses=witnesses[::-1])
+    assert changed != small_verdict
+    assert len({small_verdict, again, changed}) == 2
+    # A Witnesses equals only another Witnesses, never a tuple.
+    assert witnesses != tuple(witnesses)
+
+
+def witnesses_from(rows):
+    """Witnesses built from SearchWitness rows, through Python lists."""
+    fields = ((w.rule_index, w.n, int(w.initial, 2), w.period, w.k_max, w.travelling, w.sweeping) for w in rows)
+    return Witnesses(*map(list, zip(*fields)))
+
+
+def test_witnesses_differ_in_any_one_field(small_verdict):
+    rows = list(small_verdict.witnesses[:50])
+    same = witnesses_from(rows)
+    assert same == small_verdict.witnesses[:50]
+    assert hash(same) == hash(small_verdict.witnesses[:50])
+    w = rows[17]
+    flipped = ("1" if w.initial[0] == "0" else "0") + w.initial[1:]
+    for change in ({"rule_index": w.rule_index + 1}, {"n": w.n + 1}, {"initial": flipped},
+                   {"period": w.period + 1}, {"k_max": w.k_max + 1},
+                   {"travelling": not w.travelling}, {"sweeping": not w.sweeping}):
+        other = witnesses_from(rows[:17] + [dataclasses.replace(w, **change)] + rows[18:])
+        assert other != same, change
+
+
+def test_verdict_repr_is_the_tuple_repr(small_verdict):
+    witnesses = small_verdict.witnesses
+    assert repr(witnesses) == repr(tuple(witnesses))
+    assert repr(small_verdict) == repr(dataclasses.replace(small_verdict, witnesses=tuple(witnesses)))
+
+
+def test_scan_holds_little_memory_for_its_witnesses():
+    # As a tuple of SearchWitness objects, these 151,888 witnesses held 20.7 MiB.
+    tracemalloc.start()
+    try:
+        verdict = search_type_a(lengths=range(4, 8))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(verdict.witnesses) == 151888
+    assert held < 8 * 2**20
 
 
 # -- the scan kernel against references ------------------------------------------
@@ -851,6 +1018,20 @@ def test_interesting_mask_matches_the_scalar_predicate(draws):
 
 
 def test_sweep_tables_match_the_scalar_builder(sweep_subset):
-    tables = search._sweep_tables(sweep_subset)
+    tables = search._sweep_tables(search._sweep_slots(sweep_subset))
     assert tables.dtype == np.uint8
     assert np.array_equal(tables, np.stack([reference_sweep_table(p) for p in sweep_subset]))
+
+
+def test_sweep_space_slots_follow_the_enumeration(sweep_subset):
+    slots = search._sweep_space_slots()
+    assert slots.shape == (49**3, 2, 3)
+    assert np.array_equal(slots, search._sweep_slots(list(enumerate_sweep_params())))
+    assert [search._slot_params(row) for row in search._sweep_slots(sweep_subset)] == sweep_subset
+
+
+def test_default_sweep_space_matches_explicit_candidates():
+    result = hunt_viable_3state(ns=(2, 3))
+    assert result.candidates_total == 49**3
+    assert result.viable
+    assert result == hunt_viable_3state(ns=(2, 3), candidates=list(enumerate_sweep_params()))

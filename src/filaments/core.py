@@ -321,7 +321,8 @@ class Rule:
         outermost]`` with every neighbor axis of size ``num_states + 1``;
         code ``num_states`` stands for EMPTY. Slots for inadmissible index
         combinations (an empty slot inside a side) hold the current state
-        and are never consulted by the evolution code.
+        and are never consulted by the evolution code. The table is
+        read-only: ``lookup_image`` caches a copy of it.
         """
         s = self.num_states
         r = self.radius
@@ -335,4 +336,23 @@ class Rule:
                 left_idx = tuple(s if v is EMPTY else v for v in nbhd.left)
                 right_idx = tuple(s if v is EMPTY else v for v in nbhd.right)
                 table[(current,) + left_idx + right_idx] = self.next_state(current, nbhd)
+        table.flags.writeable = False
         return table
+
+    @cached_property
+    def lookup_image(self) -> Optional[bytes]:
+        """``lookup_table`` flattened to the 256-byte image of ``bytes.translate``.
+
+        A table of at most 256 cells has byte-sized flat keys, so translating a
+        row of keys through the image looks each one up; a wider table has no
+        image (None). Either way a table value outside ``[0, num_states)``,
+        which only a rule built with ``validate=False`` can hold, raises
+        ``ValueError``: stepping it would leave every later row out of range.
+        """
+        table = self.lookup_table.ravel()
+        if table.max() >= self.num_states:
+            raise ValueError(
+                f"rule {self.name!r}: lookup table holds state {table.max()}, "
+                f"outside [0, {self.num_states})"
+            )
+        return table.tobytes().ljust(256, b"\0") if table.size <= 256 else None

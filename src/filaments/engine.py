@@ -12,6 +12,18 @@ at most a small number of cells change per step (small relative to the
 filament length) moves sparse activity around an otherwise static
 background. ``wave_type_of`` names these "B" and "A", with everything in
 between reported as "mixed".
+
+Every step goes through one private kernel (``_Kernel``), built for a rule
+and a ``(batch, n)`` shape. It holds the cells cell-major in a buffer whose
+EMPTY border is written once, builds each cell's flat table key in place
+(``_fill_keys``, which ``neighborhood_keys`` shares) and looks the keys up
+with ``bytes.translate`` through the rule's 256-byte ``lookup_image`` when
+the table has at most 256 cells, which covers every catalogue rule. Only a
+wider table takes the NumPy gather. Validation happens once per input, never
+per step: ``step_array`` checks its array, ``run_trace`` and ``detect_cycle``
+their starting row, and the kernel reads ``lookup_image``, which checks once
+per rule that every table value is a state. A row in range then steps to a
+row in range, so the loops check nothing more.
 """
 
 from __future__ import annotations
@@ -55,18 +67,40 @@ def neighborhood_keys(states: np.ndarray, num_states: int, radius: int) -> np.nd
     innermost..outermost), neighbors in base ``num_states + 1`` with ``num_states``
     for EMPTY, in the smallest unsigned dtype that holds every index of the table.
     A cell outside ``[0, num_states)`` raises ``ValueError``: a narrow key would wrap.
+    The keys are built cell-major, as the stepping kernel builds them, and
+    returned as their ``(batch, n)`` transpose.
     """
     cells = _uint8_cells(states, num_states)
-    keys = cells.astype(np.min_scalar_type(num_states * (num_states + 1) ** (2 * radius) - 1))
-    # Horner's rule, one neighbor digit per pass; past an end the digit is EMPTY.
-    for d in range(radius, 0, -1):
-        keys *= num_states + 1
-        keys[:, d:] += cells[:, :-d]
-        keys[:, :d] += num_states
-    for d in range(1, radius + 1):
-        keys *= num_states + 1
-        keys[:, :-d] += cells[:, d:]
-        keys[:, -d:] += num_states
+    padded = np.full((cells.shape[1] + 2 * radius, len(cells)), num_states, dtype=np.uint8)
+    padded[radius:-radius] = cells.T
+    keys = np.empty(cells.shape[::-1], _key_dtype(num_states, radius))
+    return _fill_keys(keys, _digit_views(padded, radius), num_states).T
+
+
+def _key_dtype(num_states: int, radius: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every flat index of the lookup table."""
+    return np.min_scalar_type(num_states * (num_states + 1) ** (2 * radius) - 1)
+
+
+def _digit_views(padded: np.ndarray, radius: int) -> list[np.ndarray]:
+    """The key digits of every cell as shifted views of ``padded``, in table-axis order.
+
+    ``padded`` is cell-major, one column per filament: ``n`` rows of cells with
+    ``radius`` rows of EMPTY above and below. Row ``j`` of the digit at offset
+    ``d`` is then row ``j + d`` of ``padded``, with no bounds logic at the ends.
+    """
+    n = len(padded) - 2 * radius
+    offsets = (radius, *range(radius), *range(radius + 1, 2 * radius + 1))
+    return [padded[d : d + n] for d in offsets]
+
+
+def _fill_keys(keys: np.ndarray, digits: list[np.ndarray], num_states: int) -> np.ndarray:
+    """Write the flat keys of ``digits`` into ``keys`` by Horner's rule and return it."""
+    base = keys.dtype.type(num_states + 1)
+    np.copyto(keys, digits[0])
+    for digit in digits[1:]:
+        np.multiply(keys, base, out=keys)
+        np.add(keys, digit, out=keys)
     return keys
 
 
@@ -79,21 +113,64 @@ def _uint8_cells(states, num_states: int) -> np.ndarray:
     return states.astype(np.uint8, copy=False)
 
 
+class _Kernel:
+    """``rule``'s synchronous step over ``batch`` filaments of ``n`` cells, on buffers made once.
+
+    ``cells`` is ``(n, batch)``, one column per filament: the interior of a
+    padded buffer whose EMPTY border is written here, once. Load columns into
+    it, and ``step()`` returns their successors in the same cell-major layout.
+    Keys are built in place by ``_fill_keys``. A table of at most 256 cells
+    looks them up with ``bytes.translate`` through ``rule.lookup_image``; only
+    a wider table gathers. Reading the image checks once per rule that every
+    table value is a state, so cells loaded in range step to cells in range:
+    callers check their starting rows and nothing after.
+    """
+
+    def __init__(self, rule: Rule, batch: int, n: int) -> None:
+        self.image = rule.lookup_image
+        self.table = rule.lookup_table.ravel()
+        self.num_states = rule.num_states
+        padded = np.full((n + 2 * rule.radius, batch), rule.num_states, dtype=np.uint8)
+        self.cells = padded[rule.radius : rule.radius + n]
+        self.digits = _digit_views(padded, rule.radius)
+        if self.image is None:
+            self.keys = np.empty((n, batch), _key_dtype(rule.num_states, rule.radius))
+        else:  # byte keys live in a bytearray, so translate reads them without a copy
+            self.key_bytes = bytearray(n * batch)
+            self.keys = np.frombuffer(self.key_bytes, np.uint8).reshape(n, batch)
+
+    def step(self) -> np.ndarray:
+        """The successors of the loaded cells, as a new writable ``(n, batch)`` uint8 array."""
+        keys = _fill_keys(self.keys, self.digits, self.num_states)
+        if self.image is None:
+            return self.table[keys]
+        return np.frombuffer(self.key_bytes.translate(self.image), np.uint8).reshape(keys.shape)
+
+
 def step_array(rule: Rule, states: np.ndarray) -> np.ndarray:
     """One synchronous update of a batch of filaments.
 
     ``states`` has shape ``(batch, n)`` with integer cell states; the result
-    has the same shape and dtype uint8. All rows must share one length, and
-    the rule's compiled lookup table does the per-cell work, so this is the
-    fast path every higher-level routine funnels through. A cell outside
-    ``[0, rule.num_states)`` raises ``ValueError``.
+    is a new, writable ``(batch, n)`` uint8 array. All rows must share one
+    length. A cell outside ``[0, rule.num_states)`` raises ``ValueError``, and
+    so does a rule whose table holds a value outside that range.
+
+    The step is the engine's one stepping kernel (``_Kernel``): keys built on
+    an EMPTY-padded copy of the cells, then looked up with ``bytes.translate``
+    when the rule's table has at most 256 cells (every 2-state rule up to
+    radius 2 and every 3-state rule at radius 1) and by a gather otherwise.
+    ``run_trace``, ``detect_cycle`` and ``run_population`` drive the same
+    kernel over many steps and check only their starting rows.
     """
     states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a (batch, n) array, got shape {states.shape}")
     if states.shape[1] < 1:
         raise ValueError("filaments need at least one cell")
-    return rule.lookup_table.ravel()[neighborhood_keys(states, rule.num_states, rule.radius)]
+    cells = _uint8_cells(states, rule.num_states)
+    kernel = _Kernel(rule, *cells.shape)
+    kernel.cells[...] = cells.T
+    return kernel.step().T
 
 
 @dataclass(frozen=True)
@@ -117,11 +194,14 @@ def run_trace(rule: Rule, initial: Filament, steps: int) -> Trace:
     """Evolve ``initial`` for ``steps`` updates, keeping every configuration."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rows = np.empty((steps + 1, len(initial)), dtype=np.uint8)
-    rows[0] = _uint8_cells(initial.cells, rule.num_states)
-    for t in range(steps):
-        rows[t + 1] = step_array(rule, rows[t : t + 1])
-    return Trace(rule.name, (initial, *(Filament(row) for row in rows[1:].tolist())))
+    cells = _uint8_cells(initial.cells, rule.num_states)
+    kernel = _Kernel(rule, 1, len(cells))
+    kernel.cells[:, 0] = cells
+    states = [initial]
+    for _ in range(steps):
+        kernel.cells[...] = nxt = kernel.step()
+        states.append(Filament(nxt.ravel().tolist()))
+    return Trace(rule.name, tuple(states))
 
 
 def hamming(a: Filament, b: Filament) -> int:
@@ -219,14 +299,17 @@ def detect_cycle(
         horizon = default_horizon(len(initial))
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    row = _uint8_cells([initial.cells], rule.num_states)
+    cells = _uint8_cells(initial.cells, rule.num_states)
+    kernel = _Kernel(rule, 1, len(cells))
+    row = kernel.cells
+    row[:, 0] = cells
     seen = {row.tobytes(): 0}
     changes: list[int] = []
     for t in range(1, horizon + 1):
-        nxt = step_array(rule, row)
+        nxt = kernel.step()
         changes.append(int(np.count_nonzero(nxt != row)))
-        row = nxt
-        start = seen.setdefault(row.tobytes(), t)
+        row[...] = nxt
+        start = seen.setdefault(nxt.tobytes(), t)
         if start == t:
             continue
         if t - start == 1:

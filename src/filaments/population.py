@@ -28,7 +28,8 @@ import numpy as np
 
 from .analysis import liveness_of
 from .core import Rule
-from .engine import step_array
+# The bench tracer wraps population.step_array, which nothing here calls any more.
+from .engine import _Kernel, _uint8_cells, step_array  # noqa: F401
 
 __all__ = [
     "PopulationConfig",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _LIVE_METRICS = ("activity", "classification")
+
+# Growth cells drawn per filament at a time; a block holds m * _GROWTH_BLOCK bytes.
+_GROWTH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -156,12 +160,12 @@ def run_population(
             [rngs[i].integers(0, s, size=config.n0, dtype=np.uint8) for i in range(m)]
         )
     else:
-        states = np.asarray(initial_states, dtype=np.uint8)
+        states = _uint8_cells(initial_states, s)
         if states.shape != (m, config.n0):
             raise ValueError(f"initial_states must have shape ({m}, {config.n0})")
-        if states.max(initial=0) >= s:
-            raise ValueError("initial_states contains an out-of-range cell")
-        states = states.copy()
+    kernel = _Kernel(rule, m, config.n0)
+    kernel.cells[...] = states.T
+    growth_columns = _growth_columns(rngs, s)
 
     predict = liveness_of(rule).predict if config.live_metric == "classification" else None
     base_interval = config.resolved_growth_interval()
@@ -170,29 +174,31 @@ def run_population(
     live_rows = np.zeros((config.total_ticks, m), dtype=bool)
     stats = []
     for tick in range(1, config.total_ticks + 1):
-        stepped = step_array(rule, states)
-        activity = (stepped != states).any(axis=1)
-        states = stepped
+        # Cell-major, one column per filament (see engine._Kernel).
+        cells = kernel.cells
+        stepped = kernel.step()
+        activity = (stepped != cells).any(axis=0)
+        cells[...] = stepped
         ticks_since_growth += 1
         grew = ticks_since_growth >= current_interval
         if grew:
             ticks_since_growth = 0
-            column = np.array(
-                [rngs[i].integers(0, s) for i in range(m)], dtype=np.uint8
-            )
-            states = np.concatenate([states, column[:, None]], axis=1)
+            n = len(cells) + 1
+            kernel = _Kernel(rule, m, n)
+            kernel.cells[:-1] = cells
+            kernel.cells[-1] = next(growth_columns)
             if config.growth_rescale:
-                current_interval = max(
-                    1, (base_interval * states.shape[1]) // config.n0
-                )
+                current_interval = max(1, (base_interval * n) // config.n0)
+        states = kernel.cells.T
         live = activity if predict is None else predict(states)
         live_rows[tick - 1] = live
+        live_count = int(np.count_nonzero(live))
         stats.append(
             PopulationStats(
                 tick=tick,
-                live_count=int(live.sum()),
-                live_fraction=float(live.sum() / m),
-                activity_count=int(activity.sum()),
+                live_count=live_count,
+                live_fraction=live_count / m,
+                activity_count=int(np.count_nonzero(activity)),
                 current_length=states.shape[1],
                 grew_this_tick=grew,
             )
@@ -201,8 +207,20 @@ def run_population(
         config=config,
         stats=tuple(stats),
         per_filament_live=live_rows,
-        final_states=states,
+        final_states=kernel.cells.T.copy(),
     )
+
+
+def _growth_columns(rngs: list[np.random.Generator], s: int):
+    """Each growth event's new cells, one per filament, drawn ``_GROWTH_BLOCK`` events at a time.
+
+    ``rng.integers(0, s, size=B)`` yields the values of B scalar ``rng.integers(0, s)``
+    draws: NumPy's bounded 32-bit path reads the generator with no per-call
+    buffer. So a filament's growth cells are the same whatever the block size.
+    """
+    while True:
+        block = np.stack([rng.integers(0, s, size=_GROWTH_BLOCK) for rng in rngs], axis=1)
+        yield from block.astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,29 @@ def test_lookup_table_agrees_with_interpreter(rule):
             assert table[(current,) + left + right] == rule.next_state(current, nb)
 
 
+@pytest.mark.parametrize("rule", [automaton_i(), automaton_ii(), bouncer_rule(), clock_rule(2)])
+def test_lookup_image_translates_flat_keys(rule):
+    table = rule.lookup_table.ravel()
+    keys = np.arange(table.size, dtype=np.uint8).tobytes()
+    assert len(rule.lookup_image) == 256
+    assert list(keys.translate(rule.lookup_image)) == table.tolist()
+
+
+def test_lookup_table_is_read_only():
+    # The translate image is a cached copy, so an edited table would step stale.
+    rule = clock_rule(2)
+    with pytest.raises(ValueError, match="read-only"):
+        rule.lookup_table[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        rule.lookup_table.ravel()[0] = 1
+
+
+def test_tables_past_256_cells_have_no_lookup_image():
+    assert Rule("hold", 3, 2, symmetric=False, entries=()).lookup_image is None
+    assert Rule("hold", 6, 1, symmetric=False, entries=()).lookup_image is None
+    assert Rule("hold", 5, 1, symmetric=False, entries=()).lookup_image is not None
+
+
 def test_next_state_at_an_end_cell():
     rule = automaton_i()
     nb = Neighborhood(1, (EMPTY,), (1,))

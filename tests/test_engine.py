@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from filaments.core import ANY, EMPTY, Filament, Rule, RuleEntry, neighborhood_of
+from filaments.core import ANY, EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
 from filaments.engine import (
     TrajectoryReport,
     WaveType,
@@ -26,6 +26,7 @@ from filaments.engine import (
     successor_array,
     wave_type_of,
 )
+from filaments.population import PopulationConfig, run_population
 from filaments.rules import (
     automaton_i,
     automaton_ii,
@@ -76,6 +77,45 @@ def test_step_array_rejects_out_of_range_cells(cell, shape):
 def test_step_array_rejects_negative_cells(row):
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         step_array(automaton_i(), np.array([row], dtype=np.int64))
+
+
+def out_of_range_rule(s, r):
+    """A rule built unchecked whose one entry sends the middle cell of 1 0 0 to ``s``."""
+    left, right = (EMPTY,) * (r - 1) + (1,), (0,) + (EMPTY,) * (r - 1)
+    rule = Rule("unchecked", s, r, symmetric=False, entries=(RuleEntry(0, left, right, s),), validate=False)
+    assert rule.next_state(0, Neighborhood(r, left, right)) == s
+    return rule
+
+
+# (2, 1) has an 18-cell table, stepped by translate; (3, 2) has 768 cells, stepped by gather.
+@pytest.mark.parametrize("s, r", [(2, 1), (3, 2)])
+def test_out_of_range_table_values_raise_on_the_first_step(s, r):
+    rule = out_of_range_rule(s, r)
+    assert (rule.lookup_table.size <= 256) == (s == 2)
+    match = rf"outside \[0, {s}\)"
+    for row in ([1, 0, 0], [0, 0, 0]):  # the table is checked whether or not a row reads the bad value
+        with pytest.raises(ValueError, match=match):
+            step_array(rule, np.array([row], dtype=np.uint8))
+    with pytest.raises(ValueError, match=match):
+        detect_cycle(rule, Filament((1, 0, 0)))
+    with pytest.raises(ValueError, match=match):
+        run_trace(rule, Filament((1, 0, 0)), 1)
+    cfg = PopulationConfig(rule=rule, m=2, total_ticks=3, seed=1, n0=3, growth_interval=2)
+    with pytest.raises(ValueError, match=match):
+        run_population(cfg, initial_states=np.array([[1, 0, 0], [0, 0, 0]]))
+
+
+def test_step_array_returns_fresh_writable_arrays():
+    for rule in (automaton_i(), Rule("hold", 3, 2, symmetric=False, entries=())):
+        states = np.array([[0, 2, 2, 2], [1, 0, 2, 1]], dtype=np.uint8)
+        first = step_array(rule, states)
+        want = first.copy()
+        assert first.flags.writeable
+        first[...] = 1
+        states[...] = 0
+        second = step_array(rule, np.array([[0, 2, 2, 2], [1, 0, 2, 1]], dtype=np.uint8))
+        assert second.tolist() == want.tolist()
+        assert not np.shares_memory(first, second)
 
 
 def _patterns_overlap(a, b):
@@ -311,6 +351,54 @@ def test_detect_cycle_horizon_boundary_on_catalogue_rules(rule, k_a, data):
 def test_detect_cycle_matches_reference_on_random_rules(s, r, k_a, data):
     rule = data.draw(conflict_free_rules(s, r))
     assert_horizon_boundary_matches_reference(rule, data.draw(starts(s, 12)), k_a)
+
+
+def interpreter_step(rule, cells):
+    """One step of every cell through the scalar interpreter ``Rule.next_state``."""
+    f = Filament(cells)
+    return tuple(rule.next_state(c, neighborhood_of(f, i, rule.radius)) for i, c in enumerate(cells))
+
+
+@st.composite
+def dense_rules(draw, s):
+    """Radius-1 rules with a random next state for every concrete input; unlike sparse
+    rules, which mostly settle, they often cycle."""
+    codes = (*range(s), EMPTY)
+    entries = [
+        RuleEntry(c, (left,), (right,), draw(st.integers(0, s - 1)))
+        for c in range(s) for left in codes for right in codes
+    ]
+    return Rule("dense", s, 1, symmetric=False, entries=tuple(entries))
+
+
+@pytest.mark.parametrize("s, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_trajectories_match_interpreter_on_random_rules(s, r, k_a, data):
+    # uint8 keys are looked up by translate, uint16 keys (3, 2) and (4, 2) by gather. Every
+    # row comes out of buffers reused from the step before, so a stale byte shows here.
+    rules = conflict_free_rules(s, r)
+    rule = data.draw(rules if r > 1 else st.one_of(rules, dense_rules(s)))
+    start = data.draw(starts(s, 10))
+    horizon = 40
+    rows = [start.cells]
+    for _ in range(horizon):
+        rows.append(interpreter_step(rule, rows[-1]))
+    assert [f.cells for f in run_trace(rule, start, horizon)] == rows
+    report = detect_cycle(rule, start, horizon=horizon, k_a=k_a)
+    first = {}
+    for t, row in enumerate(rows):
+        if row in first:
+            break
+        first[row] = t
+    else:
+        assert report.outcome == "unresolved"
+        return
+    transient, period = first[row], t - first[row]
+    cycle = [Filament(row) for row in rows[transient : t + 1]]
+    k_max = max(hamming(a, b) for a, b in zip(cycle, cycle[1:]))
+    assert report.outcome == ("quiescent" if period == 1 else "cyclic")
+    assert (report.transient, report.period, report.max_cells_changed) == (transient, period, k_max)
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from filaments.core import Filament, Rule, RuleEntry, neighborhood_of
 from filaments.population import (
     PopulationConfig,
     mean_activity_around_growth,
@@ -126,6 +127,88 @@ def test_explicit_initial_states():
         run_population(cfg, initial_states=states[:, :3])
     with pytest.raises(ValueError):
         run_population(cfg, initial_states=states[:1])
+
+
+@pytest.mark.parametrize(
+    "cell", [np.int64(256), np.int64(-256), np.int64(3), 1.7], ids=["256", "-256", "3", "1.7"]
+)
+def test_initial_states_outside_the_states_raise(cell):
+    # 256 and -256 used to wrap to 0 and 1.7 to truncate to 1, silently.
+    cfg = small_config(m=2, total_ticks=6, growth_interval=100)
+    states = np.array([[0, 2, 2, 2], [0, 0, 0, 0]], dtype=np.asarray(cell).dtype)
+    states[1, 3] = cell
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        run_population(cfg, initial_states=states)
+
+
+def interpreter_population(config):
+    """Stats rows, live rows and final cells of ``run_population`` under the activity
+    metric, written from its definition: every cell steps through the scalar
+    interpreter ``Rule.next_state``, and each growth draws one cell per filament with
+    one scalar ``integers(0, s)`` call on that filament's ``(seed, i)`` stream."""
+    rule, s, m = config.rule, config.rule.num_states, config.m
+    rngs = [np.random.default_rng((config.seed, i)) for i in range(m)]
+    rows = [tuple(int(v) for v in rng.integers(0, s, size=config.n0, dtype=np.uint8)) for rng in rngs]
+    memo = {}
+
+    def next_cell(f, i):
+        nbhd = neighborhood_of(f, i, rule.radius)
+        if (f[i], nbhd) not in memo:
+            memo[f[i], nbhd] = rule.next_state(f[i], nbhd)
+        return memo[f[i], nbhd]
+
+    base = interval = config.resolved_growth_interval()
+    since_growth = 0
+    stats, live = [], []
+    for tick in range(1, config.total_ticks + 1):
+        stepped = [tuple(next_cell(Filament(row), i) for i in range(len(row))) for row in rows]
+        activity = [a != b for a, b in zip(stepped, rows)]
+        rows = stepped
+        since_growth += 1
+        grew = since_growth >= interval
+        if grew:
+            since_growth = 0
+            rows = [row + (int(rng.integers(0, s)),) for row, rng in zip(rows, rngs)]
+            if config.growth_rescale:
+                interval = max(1, base * len(rows[0]) // config.n0)
+        live.append(activity)
+        stats.append((tick, sum(activity), sum(activity) / m, sum(activity), len(rows[0]), grew))
+    return stats, live, rows
+
+
+def seeded_rule(seed, s, r, count):
+    """A rule of ``count`` entries, each a distinct concrete input sent to a random state."""
+    rng = np.random.default_rng(seed)
+    nbhds = list(Rule("hold", s, r, symmetric=False, entries=()).admissible_neighborhoods())
+    inputs = [(c, nbhd) for c in range(s) for nbhd in nbhds]
+    entries = [
+        RuleEntry(c, nbhd.left, nbhd.right, int(rng.integers(0, s)))
+        for c, nbhd in (inputs[i] for i in rng.choice(len(inputs), size=count, replace=False))
+    ]
+    return Rule(f"seeded-{seed}", s, r, symmetric=False, entries=tuple(entries))
+
+
+# One growth per tick for 150+ ticks takes every filament past two blocks of growth cells.
+@pytest.mark.parametrize(
+    "rule, overrides",
+    [
+        (seeded_rule(11, 3, 1, 30), dict(n0=6)),  # 48-cell table, stepped by translate
+        (seeded_rule(12, 3, 2, 60), dict(n0=5)),  # 768-cell table, stepped by gather
+        (automaton_i(), dict(n0=64, growth_rescale=True, total_ticks=200)),
+    ],
+    ids=["seeded-3-state", "seeded-3-state-radius-2", "automaton-i-rescaled"],
+)
+def test_population_matches_the_interpreter(rule, overrides):
+    cfg = PopulationConfig(**{**dict(rule=rule, m=3, total_ticks=160, seed=7, growth_interval=1), **overrides})
+    run = run_population(cfg)
+    stats, live, rows = interpreter_population(cfg)
+    assert len(run.growth_ticks()) > 128
+    assert [
+        (x.tick, x.live_count, x.live_fraction, x.activity_count, x.current_length, x.grew_this_tick)
+        for x in run.stats
+    ] == stats
+    assert run.per_filament_live.tolist() == live
+    assert run.final_states.tolist() == [list(row) for row in rows]
 
 
 def test_turnover_report_window_math():

@@ -180,6 +180,8 @@ def census(
         )
     if horizon is None:
         horizon = default_horizon(n)
+    elif horizon < 0:
+        raise ValueError("horizon must be non-negative")
     if callable(predictor):
         predict_rows = np.vectorize(lambda row: predictor(Filament(row)), otypes=[bool], signature="(n)->()")
     elif predictor == "auto":

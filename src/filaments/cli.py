@@ -94,9 +94,7 @@ def _eval_count(expr: str, length: Optional[int]) -> int:
     return total
 
 
-def parse_initial(
-    spec: str, length: Optional[int], num_states: int, fallback_seed: int = 0
-) -> Filament:
+def parse_initial(spec: str, length: Optional[int], num_states: int) -> Filament:
     """Build the initial filament an init spec denotes."""
     spec = spec.strip()
     if spec == "zeros-then-ones":
@@ -217,9 +215,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", choices=("2-state", "3-state-sweeps", "3-state-symmetric-sample"), default="2-state")
     p.add_argument("--lengths", default="4..10", help="e.g. 4..10 or 4,6,8")
     p.add_argument("--k-a", type=int, default=2)
-    p.add_argument("--budget", type=int, help="exhaustive-coverage bound (2-state) or sample count (symmetric)")
-    p.add_argument("--sample-size", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, help="sample count of the 3-state-symmetric-sample space")
+    p.add_argument("--seed", type=int, default=0, help="seed of the 3-state-symmetric-sample draw")
     p.add_argument("--hunt-lengths", default="4,5", help="probe lengths for the 3-state spaces")
     p.add_argument("--audit-csv", help="write every rule's classification as CSV here")
     p.add_argument("--witness-csv", help="write one CSV row per witness rule here")
@@ -299,23 +296,21 @@ def _cmd_population(args: argparse.Namespace) -> int:
     if args.per_filament_csv:
         with open(args.per_filament_csv, "w", newline="") as fh:
             write_per_filament_csv(run, fh)
-    if args.turnover_window:
+    if args.turnover_window is not None:
         sys.stderr.write(turnover_report(run, args.turnover_window).report())
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    for flag, value, space in (
+        ("--audit-csv", args.audit_csv, "2-state"),
+        ("--witness-csv", args.witness_csv, "2-state"),
+        ("--budget", args.budget, "3-state-symmetric-sample"),
+    ):
+        if value is not None and args.space != space:
+            raise UsageError(f"{flag} only applies to the {space} space")
     if args.space == "2-state":
-        kwargs = {}
-        if args.budget is not None:
-            kwargs["budget"] = args.budget
-        verdict = search_type_a(
-            lengths=_parse_lengths(args.lengths),
-            k_a=args.k_a,
-            sample_size=args.sample_size,
-            seed=args.seed,
-            **kwargs,
-        )
+        verdict = search_type_a(lengths=_parse_lengths(args.lengths), k_a=args.k_a)
         if args.audit_csv:
             with open(args.audit_csv, "w") as fh:
                 write_rule_audit_csv(fh)
@@ -324,9 +319,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 write_witness_csv(verdict.witnesses, fh)
         _write_out(verdict.report(), args.out)
         return EXIT_OK if verdict.complete else EXIT_UNRESOLVED
-    for flag, value in (("--audit-csv", args.audit_csv), ("--witness-csv", args.witness_csv)):
-        if value:
-            raise UsageError(f"{flag} only applies to the 2-state space")
     ns = _parse_lengths(args.hunt_lengths)
     if args.space == "3-state-sweeps":
         result = hunt_viable_3state(ns=ns)

@@ -18,10 +18,10 @@ up rules collapse into 2**16 equivalence classes ("fingerprints").
 Left-right reflection R and the 0<->1 complement C, with RC, permute the
 fingerprints and the states of a filament together, so they split the
 fingerprints into 16,768 orbits (the ECA equivalence-class reduction of
-Wolfram 1983 and Li & Packard 1990). With every initial state covered,
-the scan simulates one representative per orbit and maps each member's
-results through its group element; a sampled start set is not closed
-under the group, so there every fingerprint is its own representative.
+Wolfram 1983 and Li & Packard 1990). Each length is covered from every
+initial state, a set the group maps onto itself, so the scan simulates one
+representative per orbit and maps each member's results through its
+group element.
 Successor tables come from per-length tables over the 256 values of each
 fingerprint byte, split at the middle of the filament so that they stay
 small at every length. Pointer doubling over flat indices (Wyllie's list
@@ -260,9 +260,6 @@ class Witnesses(abc.Sequence):
 class SearchVerdict:
     lengths: tuple[int, ...]
     k_a: int
-    budget: int
-    sample_size: int
-    seed: int
     coverage: tuple[tuple[int, str], ...]
     rules_total: int
     rules_interesting: int
@@ -280,8 +277,6 @@ class SearchVerdict:
             "coverage: "
             + " ".join(f"{n}={kind}" for n, kind in self.coverage),
             f"k_a: {self.k_a}",
-            f"budget: {self.budget}",
-            f"seed: {self.seed}",
             f"rules_total: {self.rules_total}",
             f"rules_interesting: {self.rules_interesting}",
             f"fingerprints_simulated: {self.fingerprints_simulated}",
@@ -393,12 +388,12 @@ def _fingerprint_orbits() -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def _state_images(n: int) -> np.ndarray:
-    """Images of every length-n state id under (id, R, C, RC): (4, 2**n) intp.
+    """Images of every length-n state id under (id, R, C, RC): (4, 2**n) int32.
 
     R reverses the n cells and C complements them; the first cell is the
-    state id's top bit.
+    state id's top bit. _MAX_TABLE_LENGTH bounds n, so a state id fits 32 bits.
     """
-    states = np.arange(1 << n)
+    states = np.arange(1 << n, dtype=np.int32)
     reversed_ = np.zeros_like(states)
     for i in range(n):
         reversed_ |= ((states >> i) & 1) << (n - 1 - i)
@@ -407,25 +402,19 @@ def _state_images(n: int) -> np.ndarray:
 
 
 def _scan_length(
-    fps: np.ndarray,
-    n: int,
-    k_a: int,
-    starts: Optional[np.ndarray],
+    fps: np.ndarray, n: int, k_a: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flag fingerprints with Type-A cycles at one length.
+    """Flag fingerprints with Type-A cycles at one length, over every length-n state.
 
     Returns (has_type_a, has_travelling, has_sweeping, witness_state,
     witness_k_max) over the fps array; a fingerprint's witness is sweeping
-    exactly when it has a sweeping cycle. With ``starts``
-    the flags only count cycles reachable from those initial states;
-    otherwise coverage is every length-n state.
+    exactly when it has a sweeping cycle.
 
-    With full coverage only one fingerprint per orbit of the group (id, R,
-    C, RC) is simulated. Each element g permutes the states by pi_g and
-    conjugates the dynamics, succ_{g.fp}(pi_g(s)) = pi_g(succ_fp(s)), so
-    cycles, periods, step weights and changed-cell spans carry over and
-    the three flags are the representative's. A sampled start set is not
-    closed under the group, so it uses the identity alone.
+    Only one fingerprint per orbit of the group (id, R, C, RC) is
+    simulated. Each element g permutes the states by pi_g and conjugates
+    the dynamics, succ_{g.fp}(pi_g(s)) = pi_g(succ_fp(s)), so cycles,
+    periods, step weights and changed-cell spans carry over and the three
+    flags are the representative's.
 
     Representatives go through in chunks of about ``_CHUNK_CELLS`` states.
     Every state of a chunk gets a flat index, row * 2**n + state, so one
@@ -442,13 +431,9 @@ def _scan_length(
     size = 1 << n
     rows = max(1, _CHUNK_CELLS >> n)
     state_ids = np.arange(size, dtype=np.int64)
-    if starts is None:
-        rep_of, element_of = _fingerprint_orbits()
-        perms = _state_images(n)
-        rep, element = rep_of[fps], element_of[fps]
-    else:
-        perms = state_ids[None, :]
-        rep, element = fps, np.zeros(len(fps), dtype=np.uint8)
+    rep_of, element_of = _fingerprint_orbits()
+    perms = _state_images(n)
+    rep, element = rep_of[fps], element_of[fps]
     # Members in representative order, so that each chunk's members are one slice.
     by_rep = np.argsort(rep, kind="stable")
     rep = rep[by_rep]
@@ -474,7 +459,7 @@ def _scan_length(
             word |= word[walk]
             walk = walk[walk]
         on_cycle = np.zeros(len(batch) * size, dtype=bool)
-        on_cycle[walk if starts is None else walk.reshape(len(batch), size)[:, starts]] = True
+        on_cycle[walk] = True
         on_cycle = on_cycle.reshape(len(batch), size)
         word = word.reshape(len(batch), size)
         max_ham = np.bitwise_count(word >> n).astype(np.int8)
@@ -558,19 +543,15 @@ def _witness_fields(
 def search_type_a(
     lengths: Iterable[int] = range(4, 11),
     k_a: int = 2,
-    budget: int = 2**14,
-    sample_size: int = 4096,
-    seed: int = 0,
     rule_indices: Optional[Sequence[int]] = None,
 ) -> SearchVerdict:
     """Scan interesting two-state radius-1 rules for Type-A cycles.
 
-    Coverage at each length is exhaustive when 2**n fits the budget,
-    otherwise a seeded sample of ``sample_size`` initial states.
-    ``rule_indices`` restricts the scan to a subset (still filtered to
-    interesting rules); by default the whole space is scanned. Lengths
-    whose state space cannot be materialized are skipped and make the
-    verdict incomplete.
+    Coverage at each length is exhaustive: every initial state of every
+    fingerprint. ``rule_indices`` restricts the scan to a subset (still
+    filtered to interesting rules); by default the whole space is scanned.
+    Lengths above _MAX_TABLE_LENGTH, whose state space cannot be
+    materialized, are skipped and make the verdict incomplete.
     """
     lengths = tuple(sorted(set(int(n) for n in lengths)))
     if any(n < 2 for n in lengths):
@@ -595,23 +576,12 @@ def search_type_a(
     type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
     witness = np.zeros((5, len(fps)), dtype=np.int64)
     coverage = []
-    complete = True
-    rng = np.random.default_rng(seed)
     for n in lengths:
         if n > _MAX_TABLE_LENGTH:
             coverage.append((n, "skipped"))
-            complete = False
             continue
-        if (1 << n) <= budget:
-            starts = None
-            coverage.append((n, "exhaustive"))
-        else:
-            starts = np.unique(
-                rng.integers(0, 1 << n, size=min(sample_size, 1 << n))
-            ).astype(np.int64)
-            coverage.append((n, "sampled"))
-            complete = False
-        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a, starts)
+        coverage.append((n, "exhaustive"))
+        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a)
         newly = ta & ~type_a
         witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, sweep])[:, newly]
         # Flags found at later lengths still count, but the stored witness
@@ -625,9 +595,6 @@ def search_type_a(
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
-        budget=budget,
-        sample_size=sample_size,
-        seed=seed,
         coverage=tuple(coverage),
         rules_total=rules_total,
         rules_interesting=int(mask.sum()),
@@ -636,7 +603,7 @@ def search_type_a(
         rules_with_travelling_type_a_cycle=int(travelling[flagged][owner].sum()),
         rules_with_sweeping_type_a_cycle=int(sweeping[flagged][owner].sum()),
         witnesses=Witnesses(members, *(field[owner] for field in fields)),
-        complete=complete,
+        complete=all(kind == "exhaustive" for _, kind in coverage),
     )
 
 

@@ -191,6 +191,11 @@ def test_census_rejects_lengths_below_one(n):
         census(automaton_i(), n)
 
 
+def test_census_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="^horizon must be non-negative$"):
+        census(automaton_i(), 4, horizon=-5)
+
+
 def test_census_unresolved_under_tiny_horizon():
     c = census(automaton_i(), 4, horizon=2)
     assert c.unresolved > 0

@@ -131,6 +131,14 @@ def test_census_rejects_lengths_below_one(capsys, n):
     assert "n must be at least 1" in capsys.readouterr().err
 
 
+def test_census_rejects_a_negative_horizon(capsys):
+    rc = main(["census", "--rule", "automaton-i", "--n", "4", "--horizon", "-5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be non-negative\n"
+
+
 def test_population_csv(capsys, tmp_path):
     path = tmp_path / "pop.csv"
     rc = main(["population", "--rule", "automaton-i", "--m", "4", "--ticks", "10",
@@ -154,11 +162,25 @@ def test_population_requires_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_population_rejects_a_turnover_window_of_zero(capsys):
+    rc = main(["population", "--rule", "automaton-i", "--m", "4", "--ticks", "10",
+               "--seed", "0", "--turnover-window", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: window must be at least 1\n"
+
+
 def test_search_two_state_scan(capsys):
-    rc = main(["search", "--lengths", "4", "--budget", "8", "--sample-size", "8"])
-    assert rc == 2  # sampled coverage is incomplete by construction
+    rc = main(["search", "--lengths", "4"])
+    assert rc == 0
     out = capsys.readouterr().out
-    assert "coverage: 4=sampled" in out
+    assert "coverage: 4=exhaustive" in out
+    assert "budget" not in out and "seed" not in out
+    rc = main(["search", "--lengths", "4", "--sample-size", "8"])
+    assert rc == 1
+    assert "unrecognized arguments: --sample-size" in capsys.readouterr().err
+    rc = main(["search", "--lengths", "4", "--budget", "8"])
+    assert rc == 1
+    assert "--budget only applies to the 3-state-symmetric-sample space" in capsys.readouterr().err
 
 
 def test_search_witness_csv(capsys, tmp_path):

@@ -190,9 +190,6 @@ def test_scan_witnesses_replay():
 
 
 def test_scan_coverage_modes():
-    sampled = search_type_a(lengths=(4,), budget=8, sample_size=8, seed=0)
-    assert sampled.coverage == ((4, "sampled"),)
-    assert not sampled.complete
     skipped = search_type_a(lengths=(23,))
     assert skipped.coverage == ((23, "skipped"),)
     assert not skipped.complete
@@ -245,7 +242,7 @@ def test_scan_memory_stays_bounded_at_length_twenty():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.coverage == ((20, "sampled"),)
+    assert verdict.coverage == ((20, "exhaustive"),)
     assert {w.rule_index for w in verdict.witnesses} == {148324, 152905}
     assert peak < 100 * 2**20
 
@@ -281,11 +278,11 @@ def typed_fields(witness):
 
 @given(
     st.lists(st.integers(0, RULE_SPACE_SIZE - 1), max_size=400),
-    st.sampled_from([{"lengths": (2, 3, 4), "k_a": 3}, {"lengths": (3, 11), "budget": 2**10}]),
+    st.sampled_from([{"lengths": (2, 3, 4), "k_a": 3}, {"lengths": (3, 11)}]),
 )
 @settings(max_examples=30, deadline=None)
 def test_witnesses_match_the_reference_tuple(indices, kwargs):
-    # The second case samples length 11, so witnesses there come from a start set.
+    # The second case reaches length 11, past the n <= 10 of the default lengths.
     inputs = []
 
     def recorded(*args):
@@ -425,7 +422,7 @@ def _bit_span(values):
     return np.where(vals > 0, hi - lo + 1, 0)
 
 
-def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
+def reference_scan_length(fps, n, k_a, chunk_size=4096):
     """The scan kernel as first written: 2-D tables, two doubling loops."""
     size = 1 << n
     cells = all_states_matrix(2, n)
@@ -456,10 +453,6 @@ def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
             f = np.take_along_axis(f, f, axis=1)
         on_cycle = np.zeros((len(batch), size), dtype=bool)
         np.put_along_axis(on_cycle, f, True, axis=1)
-        if starts is not None:
-            reached = np.zeros((len(batch), size), dtype=bool)
-            np.put_along_axis(reached, f[:, starts], True, axis=1)
-            on_cycle &= reached
 
         ham = np.bitwise_count(state_ids[None, :] ^ t).astype(np.int8)
         diff = (state_ids[None, :] ^ t).astype(np.int32)
@@ -492,9 +485,9 @@ def reference_scan_length(fps, n, k_a, starts, chunk_size=4096):
     return has_ta, has_trav, has_sweep, wit_state, wit_kmax
 
 
-def assert_scan_matches_reference(fps, n, k_a, starts):
-    got = search._scan_length(fps, n, k_a, starts)
-    want = reference_scan_length(fps, n, k_a, starts)
+def assert_scan_matches_reference(fps, n, k_a):
+    got = search._scan_length(fps, n, k_a)
+    want = reference_scan_length(fps, n, k_a)
     names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state", "witness_k_max")
     assert len(got) == len(want) == len(names)
     for name, g, w in zip(names, got, want):
@@ -503,32 +496,26 @@ def assert_scan_matches_reference(fps, n, k_a, starts):
 
 
 @pytest.mark.parametrize("chunk_cells", [1 << 16, 1 << 7])
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", [*range(2, 10), 11])
 def test_scan_length_matches_the_reference(n, chunk_cells, monkeypatch):
     # A small cell budget forces many chunks, and one row per chunk from n=7 on.
+    # Length 11 is past the default lengths 4..10.
     monkeypatch.setattr(search, "_CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(n)
     drawn = rng.integers(0, 1 << 16, size=max(24, 2400 >> n))
     fps = np.unique(np.concatenate([[0, 0xFFFF], drawn])).astype(np.uint16)
-    starts = np.unique(rng.integers(0, 1 << n, size=max(1, (1 << n) // 4)))
     for k_a in (1, 2):
-        assert_scan_matches_reference(fps, n, k_a, None)
-        assert_scan_matches_reference(fps, n, k_a, starts)
+        assert_scan_matches_reference(fps, n, k_a)
 
 
 @given(
     st.integers(2, 8),
     st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=12, unique=True),
     st.integers(1, 4),
-    st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_scan_length_matches_the_reference_on_drawn_fingerprints(n, fps, k_a, data):
-    starts = data.draw(
-        st.none() | st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True).map(sorted)
-    )
-    starts = None if starts is None else np.array(starts, dtype=np.int64)
-    assert_scan_matches_reference(np.array(sorted(fps), dtype=np.uint16), n, k_a, starts)
+def test_scan_length_matches_the_reference_on_drawn_fingerprints(n, fps, k_a):
+    assert_scan_matches_reference(np.array(sorted(fps), dtype=np.uint16), n, k_a)
 
 
 @pytest.mark.parametrize("k_a", [3, 4])
@@ -537,8 +524,8 @@ def test_scan_length_matches_the_reference_on_every_fingerprint(n, k_a):
     # With n <= k_a a cycle can sweep every cell without its changes spanning
     # more than k_a positions, so sweeping holds without travelling.
     fps = np.arange(1 << 16, dtype=np.uint16)
-    assert_scan_matches_reference(fps, n, k_a, None)
-    _, has_trav, has_sweep, _, _ = search._scan_length(fps, n, k_a, None)
+    assert_scan_matches_reference(fps, n, k_a)
+    _, has_trav, has_sweep, _, _ = search._scan_length(fps, n, k_a)
     assert (has_sweep & ~has_trav).any()
 
 
@@ -559,7 +546,7 @@ def test_scan_length_matches_the_reference_across_chunk_edges(n, chunk_cells, mo
     lone = rng.integers(0, 1 << 16, size=30)
     fps = np.unique(np.concatenate([whole, lone])).astype(np.uint16)
     for k_a in (1, 2, 3):
-        assert_scan_matches_reference(fps, n, k_a, None)
+        assert_scan_matches_reference(fps, n, k_a)
 
 
 def test_scan_memory_stays_bounded_at_length_thirteen():
@@ -570,10 +557,10 @@ def test_scan_memory_stays_bounded_at_length_thirteen():
     reps = np.random.default_rng(13).choice(np.unique(rep_of), size=600, replace=False)
     fps = np.flatnonzero(np.isin(rep_of, reps)).astype(np.uint16)
     assert len(fps) == 2345
-    search._scan_length(fps[:1], 13, 2, None)  # fill the per-length caches
+    search._scan_length(fps[:1], 13, 2)  # fill the per-length caches
     tracemalloc.start()
     try:
-        has_ta = search._scan_length(fps, 13, 2, None)[0]
+        has_ta = search._scan_length(fps, 13, 2)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

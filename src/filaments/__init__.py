@@ -15,11 +15,8 @@ from .analysis import (
     CensusBudgetError,
     GrowthMatrix,
     census,
-    growth_transition_matrix,
     measure_accretion_matrix,
     parity_counts,
-    predict_automaton_i,
-    predict_automaton_ii,
 )
 from .core import ANY, EMPTY, Filament, Neighborhood, Rule, RuleConflictError, RuleEntry
 from .engine import (
@@ -90,14 +87,11 @@ __all__ = [
     "clock_rule",
     "default_horizon",
     "detect_cycle",
-    "growth_transition_matrix",
     "hunt_viable_3state",
     "load_rule",
     "measure_accretion_matrix",
     "parity_counts",
     "parse_rule",
-    "predict_automaton_i",
-    "predict_automaton_ii",
     "render_ascii",
     "render_pgm",
     "rule_from_index",

@@ -1,23 +1,23 @@
-"""Closed-form predictors, exhaustive censuses, and growth transition matrices.
+"""Closed-form liveness laws, exhaustive censuses, and exact growth chains.
 
-The two catalogue three-state rules admit exact liveness predictors: a
-filament under ``automaton_i`` ends up perpetually cycling exactly when its
-initial state contains an odd number of steps (adjacent unequal pairs), and
-one under ``automaton_ii`` exactly when it has a 0 at one end but not the
-other. ``census`` brute-forces every length-n filament and checks the
-matching predictor against the simulated outcome, which turns both claims
-into machine-checked facts at desk scale. ``predictor="auto"`` picks the
-array predictor by rule content (the compiled lookup table), not by name.
+Each of the two catalogue three-state rules has one ``Liveness`` record,
+found by rule content (the compiled lookup table), never by name. The
+record's ``classes`` function is the law: under ``automaton_i`` a filament
+ends up perpetually cycling exactly when its initial state has an odd number
+of steps (adjacent unequal pairs), and under ``automaton_ii`` exactly when
+it has a 0 at one end but not the other. ``census`` brute-forces every
+length-n filament and checks the law against the simulated outcome, which
+turns both claims into machine-checked facts at desk scale.
 
-Growth arithmetic is exact: transition matrices for single-cell accretion
-are built from ``fractions.Fraction`` so stationarity checks are identities
-rather than tolerances, and ``measure_accretion_matrix`` reproduces matrix
-entries by exhaustive counting instead of sampling.
+Growth arithmetic is exact: each record's ``growth`` matrix, over the same
+classes, is built from ``fractions.Fraction`` so stationarity checks are
+identities rather than tolerances, and ``measure_accretion_matrix``
+reproduces its entries by exhaustive counting instead of sampling.
 
-Known edge case: the end-zero predictor is wrong at length 2. The one-end-
-zero states of length 2 are fixed points ([01] has no matching transition
-for either cell), so the census reports 4 mismatches at n=2 and 0
-everywhere else. The predictor's promise holds from n=3 up.
+Known edge case: the end-zero law is wrong at length 2. The one-end-zero
+states of length 2 are fixed points ([01] has no matching transition for
+either cell), so the census reports 4 mismatches at n=2 and 0 everywhere
+else. The law's promise holds from n=3 up.
 """
 
 from __future__ import annotations
@@ -47,51 +47,101 @@ __all__ = [
     "Liveness",
     "census",
     "count_accretions",
-    "end_zero_class",
-    "end_zero_class_array",
-    "growth_transition_matrix",
     "liveness_of",
     "measure_accretion_matrix",
-    "parity_class_array",
     "parity_counts",
-    "predict_automaton_i",
-    "predict_automaton_ii",
 ]
 
 
-def _odd_steps(states: np.ndarray) -> np.ndarray:
-    """Rows of ``states`` with an odd number of adjacent unequal pairs."""
-    return np.logical_xor.reduce(np.diff(states, axis=1) != 0, axis=1)
+# -- liveness laws --------------------------------------------------------------
 
 
-def _one_end_zero(states: np.ndarray) -> np.ndarray:
-    """Rows of ``states`` with a 0 at exactly one end."""
-    return (states[:, 0] == 0) != (states[:, -1] == 0)
+@dataclass(frozen=True)
+class GrowthMatrix:
+    """A stochastic matrix over liveness classes, in exact rationals.
+
+    Row i gives the class distribution after appending one uniformly
+    random cell to a filament of class ``labels[i]``. ``stationary`` is
+    the row vector this matrix fixes exactly.
+    """
+
+    labels: tuple[str, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    stationary: tuple[Fraction, ...]
+
+    def row_sums(self) -> tuple[Fraction, ...]:
+        return tuple(sum(row, Fraction(0)) for row in self.rows)
+
+    def applied_to(self, distribution: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Left-multiply a row distribution by the matrix, exactly."""
+        if len(distribution) != len(self.labels):
+            raise ValueError("distribution length must match the class count")
+        k = len(self.labels)
+        return tuple(
+            sum((distribution[i] * self.rows[i][j] for i in range(k)), Fraction(0))
+            for j in range(k)
+        )
+
+    def is_stationary(self, distribution: Sequence[Fraction]) -> bool:
+        return self.applied_to(distribution) == tuple(distribution)
 
 
-def predict_automaton_i(filament: Filament) -> bool:
-    """Liveness predictor for automaton_i: live iff the step count is odd."""
-    return bool(_odd_steps(np.array([filament.cells]))[0])
+def _step_parity_classes(states: np.ndarray) -> np.ndarray:
+    """(S, n) states to class ids: 0 for an odd number of adjacent unequal pairs, 1 for even."""
+    # An xor started from True ends True exactly on the even rows.
+    return np.logical_xor.reduce(np.diff(states, axis=1) != 0, axis=1, initial=True).view(np.int8)
 
 
-def predict_automaton_ii(filament: Filament) -> bool:
-    """Liveness predictor for automaton_ii: live iff exactly one end cell is 0."""
-    return bool(_one_end_zero(np.array([filament.cells]))[0])
+def _end_zero_classes(states: np.ndarray) -> np.ndarray:
+    """(S, n) states to class ids: the number of end cells that are not 0
+    (0 = both ends 0, 1 = one end 0, 2 = no end 0)."""
+    return (states[:, 0] != 0).view(np.int8) + (states[:, -1] != 0).view(np.int8)
 
 
 class Liveness(NamedTuple):
-    """A rule's closed-form liveness: ``predict`` maps an (S, n) state matrix to bool[S];
-    ``sweeps`` counts the sweeps of its normal cycle, which paces population growth."""
+    """A rule's closed-form liveness law.
 
-    predict: Callable[[np.ndarray], np.ndarray]
+    ``classes`` maps an (S, n) state matrix to int8 class ids, and rows of
+    class ``live`` cycle forever. ``sweeps`` counts the sweeps of the rule's
+    normal cycle, which paces population growth. ``growth`` is the exact
+    chain the classes follow when one uniformly random cell is appended;
+    its rows are in class-id order.
+    """
+
+    classes: Callable[[np.ndarray], np.ndarray]
+    live: int
     sweeps: int
+    growth: GrowthMatrix
+
+    def predict(self, states: np.ndarray) -> np.ndarray:
+        """bool[S]: the rows of ``states`` the law calls live."""
+        return self.classes(states) == self.live
 
 
 @cache
 def _catalogue_liveness() -> tuple[tuple[np.ndarray, Liveness], ...]:
+    third = Fraction(1, 3)
+    # A new cell flips the step parity exactly when it differs from the old
+    # end cell, probability 2/3.
+    parity = GrowthMatrix(
+        labels=("live", "dead"),
+        rows=((third, 2 * third), (2 * third, third)),
+        stationary=(Fraction(1, 2), Fraction(1, 2)),
+    )
+    # A new cell replaces the right end; the live (one-end-0) share of the
+    # stationary vector is 4/9.
+    end_zero = GrowthMatrix(
+        labels=("both-ends-0", "one-end-0", "no-end-0"),
+        rows=(
+            (Fraction(1, 3), Fraction(2, 3), Fraction(0)),
+            (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
+            (Fraction(0), Fraction(1, 3), Fraction(2, 3)),
+        ),
+        stationary=(Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)),
+    )
     return (
-        (automaton_i().lookup_table, Liveness(_odd_steps, 6)),
-        (automaton_ii().lookup_table, Liveness(_one_end_zero, 2)),
+        (automaton_i().lookup_table, Liveness(_step_parity_classes, live=0, sweeps=6, growth=parity)),
+        (automaton_ii().lookup_table, Liveness(_end_zero_classes, live=1, sweeps=2, growth=end_zero)),
     )
 
 
@@ -128,7 +178,7 @@ class Census:
     ``unresolved`` counts states whose first revisit lies beyond the
     horizon. ``max_settle_time`` is the largest transient over all states,
     the time to enter the eventual behavior. ``prediction_mismatches``
-    counts states where the closed-form predictor and the simulation
+    counts states where the rule's liveness law and the simulation
     disagree; ``first_mismatch`` holds the lexicographically first one.
     """
 
@@ -161,16 +211,16 @@ def census(
     rule: Rule,
     n: int,
     horizon: Optional[int] = None,
-    predictor: str | Callable[[Filament], bool] | None = "auto",
+    predictor: Optional[str] = "auto",
     budget: int = 10**7,
 ) -> Census:
-    """Classify every length-n filament and compare against a predictor.
+    """Classify every length-n filament and compare against the rule's liveness law.
 
-    ``predictor`` may be "auto" (the array predictor ``liveness_of`` finds
-    by rule content, none for unknown rules), None (skip the comparison), or
-    a callable from Filament to liveness, applied row by row. Enumeration is
-    lexicographic; the functional graph over all s**n states is classified in
-    one pass, which agrees with per-state cycle detection by determinism.
+    ``predictor`` may be "auto" (the law ``liveness_of`` finds by rule
+    content; unknown rules have none, so nothing is compared) or None (skip
+    the comparison). Enumeration is lexicographic; the functional graph over
+    all s**n states is classified in one pass, which agrees with per-state
+    cycle detection by determinism.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -182,13 +232,10 @@ def census(
         horizon = default_horizon(n)
     elif horizon < 0:
         raise ValueError("horizon must be non-negative")
-    if callable(predictor):
-        predict_rows = np.vectorize(lambda row: predictor(Filament(row)), otypes=[bool], signature="(n)->()")
-    elif predictor == "auto":
+    if predictor == "auto":
         liveness = liveness_of(rule)
-        predict_rows = liveness.predict if liveness is not None else None
     elif predictor is None:
-        predict_rows = None
+        liveness = None
     else:
         raise ValueError(f"bad predictor {predictor!r}")
 
@@ -200,8 +247,8 @@ def census(
     quiescent_mask = resolved & (period == 1)
 
     wrong = np.zeros_like(live_mask)
-    if predict_rows is not None:
-        wrong = predict_rows(matrix) != live_mask
+    if liveness is not None:
+        wrong = liveness.predict(matrix) != live_mask
     first = int(wrong.argmax())  # rows run in lexicographic order
 
     return Census(
@@ -218,85 +265,6 @@ def census(
 
 
 # -- growth under accretion -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthMatrix:
-    """A stochastic matrix over liveness classes, in exact rationals.
-
-    Row i gives the class distribution after appending one uniformly
-    random cell to a filament of class ``labels[i]``. ``stationary`` is
-    the row vector this matrix fixes exactly.
-    """
-
-    labels: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    stationary: tuple[Fraction, ...]
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.rows)
-
-    def applied_to(self, distribution: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Left-multiply a row distribution by the matrix, exactly."""
-        if len(distribution) != len(self.labels):
-            raise ValueError("distribution length must match the class count")
-        k = len(self.labels)
-        return tuple(
-            sum((distribution[i] * self.rows[i][j] for i in range(k)), Fraction(0))
-            for j in range(k)
-        )
-
-    def is_stationary(self, distribution: Sequence[Fraction]) -> bool:
-        return self.applied_to(distribution) == tuple(distribution)
-
-
-def growth_transition_matrix(rule_kind: str) -> GrowthMatrix:
-    """Exact accretion matrix for one of the two catalogue 3-state rules.
-
-    For "automaton-i" the classes are (live, dead) by step parity: a new
-    cell flips the parity exactly when it differs from the old end cell,
-    probability 2/3. For "automaton-ii" the classes track which ends hold
-    a 0, since liveness is one-end-zero-ness; the live proportion of its
-    stationary vector is 4/9.
-    """
-    if rule_kind == "automaton-i":
-        third = Fraction(1, 3)
-        return GrowthMatrix(
-            labels=("live", "dead"),
-            rows=(
-                (third, 2 * third),
-                (2 * third, third),
-            ),
-            stationary=(Fraction(1, 2), Fraction(1, 2)),
-        )
-    if rule_kind == "automaton-ii":
-        return GrowthMatrix(
-            labels=("both-ends-0", "one-end-0", "no-end-0"),
-            rows=(
-                (Fraction(1, 3), Fraction(2, 3), Fraction(0)),
-                (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
-                (Fraction(0), Fraction(1, 3), Fraction(2, 3)),
-            ),
-            stationary=(Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)),
-        )
-    raise ValueError(f"no growth matrix for rule kind {rule_kind!r}")
-
-
-def parity_class_array(n: int) -> np.ndarray:
-    """Class ids (0 = live/odd, 1 = dead/even) for all 3**n states."""
-    return np.where(_odd_steps(all_states_matrix(3, n)), 0, 1).astype(np.int8)
-
-
-def end_zero_class_array(n: int) -> np.ndarray:
-    """Class ids (0 = both ends 0, 1 = one end 0, 2 = no end 0) for all 3**n states."""
-    matrix = all_states_matrix(3, n)
-    zeros = (matrix[:, 0] == 0).astype(np.int8) + (matrix[:, -1] == 0).astype(np.int8)
-    return (2 - zeros).astype(np.int8)
-
-
-def end_zero_class(filament: Filament) -> int:
-    zeros = int(filament[0] == 0) + int(filament[-1] == 0)
-    return 2 - zeros
 
 
 def count_accretions(class_at_n: np.ndarray, class_at_n1: np.ndarray, num_classes: int) -> np.ndarray:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .analysis import census
 from .core import Filament, Rule
-from .engine import default_horizon, detect_cycle, run_trace
+from .engine import detect_cycle, run_trace
 from .population import (
     PopulationConfig,
-    mean_activity_around_growth,
     run_population,
     turnover_report,
     write_per_filament_csv,
@@ -96,6 +95,8 @@ def _eval_count(expr: str, length: Optional[int]) -> int:
 
 def parse_initial(spec: str, length: Optional[int], num_states: int) -> Filament:
     """Build the initial filament an init spec denotes."""
+    if length is not None and length < 1:
+        raise UsageError(f"--length must be at least 1, not {length}")
     spec = spec.strip()
     if spec == "zeros-then-ones":
         spec = "[0^{n-1} 1]"
@@ -216,7 +217,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lengths", default="4..10", help="e.g. 4..10 or 4,6,8")
     p.add_argument("--k-a", type=int, default=2)
     p.add_argument("--budget", type=int, help="sample count of the 3-state-symmetric-sample space")
-    p.add_argument("--seed", type=int, default=0, help="seed of the 3-state-symmetric-sample draw")
+    p.add_argument("--seed", type=int, help="seed of the 3-state-symmetric-sample draw (default 0)")
     p.add_argument("--hunt-lengths", default="4,5", help="probe lengths for the 3-state spaces")
     p.add_argument("--audit-csv", help="write every rule's classification as CSV here")
     p.add_argument("--witness-csv", help="write one CSV row per witness rule here")
@@ -306,6 +307,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ("--audit-csv", args.audit_csv, "2-state"),
         ("--witness-csv", args.witness_csv, "2-state"),
         ("--budget", args.budget, "3-state-symmetric-sample"),
+        ("--seed", args.seed, "3-state-symmetric-sample"),
     ):
         if value is not None and args.space != space:
             raise UsageError(f"{flag} only applies to the {space} space")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 

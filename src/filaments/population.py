@@ -281,6 +281,8 @@ def mean_activity_around_growth(
     aggregated over all such events. Uses the always-recorded activity
     counts, so it works under either live metric.
     """
+    if width < 1:
+        raise ValueError("width must be at least 1")
     counts = run.activity_counts().astype(np.float64)
     before_vals = []
     after_vals = []

@@ -9,7 +9,7 @@ dependency-free.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -820,7 +820,7 @@ def hunt_viable_3state(
     candidates: Optional[Iterable[SweepParams]] = None,
     space: str = "sweeps",
     budget: Optional[int] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
 ) -> HuntResult:
     """Find rules whose liveness chain is length-invariant and mixing.
 
@@ -835,7 +835,8 @@ def hunt_viable_3state(
     SweepParams), enumerated as six axes of slot indices; a SweepParams is
     made only for each viable candidate. Space "symmetric-sample" instead draws ``budget``
     uniformly random symmetric tables from the full 3**30 symmetric rule
-    space, which is far too large to enumerate.
+    space, which is far too large to enumerate, with ``seed`` (default 0);
+    ``budget`` and ``seed`` apply to that space only.
 
     Candidates run as arrays: one interesting mask over all tables, then one
     pointer-doubling liveness pass per chunk of candidates, reduced to counts.
@@ -852,6 +853,8 @@ def hunt_viable_3state(
             f"so probe lengths up to {_MAX_HUNT_LENGTH - 1}"
         )
     if space == "sweeps":
+        if budget is not None or seed is not None:
+            raise ValueError("budget and seed only apply to the symmetric-sample space")
         picks = _sweep_space_slots() if candidates is None else _sweep_slots(list(candidates))
         tables = _sweep_tables(picks)
     elif space == "symmetric-sample":
@@ -860,7 +863,7 @@ def hunt_viable_3state(
         if budget is None or budget < 1:
             raise ValueError("the sampled symmetric space needs a positive budget")
         # One draw per unordered neighbor pair, states outermost.
-        draws = np.random.default_rng(seed).integers(0, 3, size=(budget, 3, 10))
+        draws = np.random.default_rng(0 if seed is None else seed).integers(0, 3, size=(budget, 3, 10))
         tables = np.empty((budget, 3, 4, 4), dtype=np.uint8)
         upper = np.triu_indices(4)
         tables[:, :, upper[0], upper[1]] = tables[:, :, upper[1], upper[0]] = draws

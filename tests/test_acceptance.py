@@ -16,10 +16,8 @@ import pytest
 
 from filaments.analysis import (
     census,
-    end_zero_class_array,
-    growth_transition_matrix,
+    liveness_of,
     measure_accretion_matrix,
-    parity_class_array,
     parity_counts,
 )
 from filaments.core import Filament
@@ -170,9 +168,12 @@ def test_criterion_05_two_sweep_cycle_length():
 
 
 def test_criterion_06_growth_matrices():
-    g1 = growth_transition_matrix("automaton-i")
-    g2 = growth_transition_matrix("automaton-ii")
+    law1, law2 = liveness_of(automaton_i()), liveness_of(automaton_ii())
+    g1, g2 = law1.growth, law2.growth
     from fractions import Fraction
+
+    def classes(law, n):
+        return law.classes(all_states_matrix(3, n))
 
     ok = (
         g1.row_sums() == (Fraction(1), Fraction(1))
@@ -182,11 +183,11 @@ def test_criterion_06_growth_matrices():
         and g2.stationary == (Fraction(1, 9), Fraction(4, 9), Fraction(4, 9))
         and g2.is_stationary(g2.stationary)
         and measure_accretion_matrix(
-            parity_class_array(6), parity_class_array(7), num_classes=2, num_states=3
+            classes(law1, 6), classes(law1, 7), num_classes=2, num_states=3
         )
         == g1.rows
         and measure_accretion_matrix(
-            end_zero_class_array(6), end_zero_class_array(7), num_classes=3, num_states=3
+            classes(law2, 6), classes(law2, 7), num_classes=3, num_states=3
         )
         == g2.rows
     )

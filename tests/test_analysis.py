@@ -12,18 +12,12 @@ from filaments.analysis import (
     Census,
     CensusBudgetError,
     census,
-    end_zero_class,
-    end_zero_class_array,
-    growth_transition_matrix,
     liveness_of,
     measure_accretion_matrix,
-    parity_class_array,
     parity_counts,
-    predict_automaton_i,
-    predict_automaton_ii,
 )
 from filaments.core import Filament
-from filaments.engine import count_steps, detect_cycle
+from filaments.engine import all_states_matrix, count_steps, detect_cycle
 from filaments.population import PopulationConfig
 from filaments.rules import automaton_i, automaton_ii, bouncer_rule, clock_rule, load_rule, serialize_rule
 
@@ -31,19 +25,25 @@ from filaments.rules import automaton_i, automaton_ii, bouncer_rule, clock_rule,
 # -- predictors ----------------------------------------------------------------
 
 
+def predicts_live(rule, filament):
+    """The rule's liveness law applied to one filament, as a one-row matrix."""
+    (live,) = liveness_of(rule).predict(np.array([filament.cells]))
+    return bool(live)
+
+
 def test_predict_automaton_i_is_step_parity():
-    assert predict_automaton_i(Filament.from_string("022"))  # one step
-    assert not predict_automaton_i(Filament.from_string("022220"))
-    assert not predict_automaton_i(Filament.from_string("000"))
+    assert predicts_live(automaton_i(), Filament.from_string("022"))  # one step
+    assert not predicts_live(automaton_i(), Filament.from_string("022220"))
+    assert not predicts_live(automaton_i(), Filament.from_string("000"))
 
 
 def test_predict_automaton_ii_reads_the_ends():
     # Live iff exactly one end cell holds 0.
-    assert predict_automaton_ii(Filament.from_string("0001"))
-    assert predict_automaton_ii(Filament.from_string("2000"))
-    assert not predict_automaton_ii(Filament.from_string("0110"))
-    assert not predict_automaton_ii(Filament.from_string("1001"))
-    assert not predict_automaton_ii(Filament.from_string("121"))
+    assert predicts_live(automaton_ii(), Filament.from_string("0001"))
+    assert predicts_live(automaton_ii(), Filament.from_string("2000"))
+    assert not predicts_live(automaton_ii(), Filament.from_string("0110"))
+    assert not predicts_live(automaton_ii(), Filament.from_string("1001"))
+    assert not predicts_live(automaton_ii(), Filament.from_string("121"))
 
 
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=10))
@@ -52,7 +52,7 @@ def test_parity_predictor_matches_fate(cells):
     f = Filament(tuple(cells))
     report = detect_cycle(automaton_i(), f)
     is_live = report.outcome == "cyclic"
-    assert predict_automaton_i(f) == is_live
+    assert predicts_live(automaton_i(), f) == is_live
     assert (count_steps(f) % 2 == 1) == is_live
 
 
@@ -60,7 +60,7 @@ def test_parity_predictor_matches_fate(cells):
 def test_end_zero_predictor_matches_fate_above_two_cells(cells):
     f = Filament(tuple(cells))
     report = detect_cycle(automaton_ii(), f)
-    assert predict_automaton_ii(f) == (report.outcome == "cyclic")
+    assert predicts_live(automaton_ii(), f) == (report.outcome == "cyclic")
 
 
 def test_end_zero_predictor_misses_both_two_cell_cycles():
@@ -68,7 +68,7 @@ def test_end_zero_predictor_misses_both_two_cell_cycles():
     # signature undercounts; this is the known floor of the predictor.
     for text in ("01", "10", "02", "20"):
         f = Filament.from_string(text)
-        assert predict_automaton_ii(f)
+        assert predicts_live(automaton_ii(), f)
         assert detect_cycle(automaton_ii(), f).outcome == "quiescent"
 
 
@@ -137,9 +137,11 @@ def test_census_without_predictor():
 
 
 def test_census_with_callable_predictor():
-    c = census(automaton_i(), 3, predictor=lambda f: True)
-    # Every quiescent state now counts as a mismatch.
-    assert c.prediction_mismatches == c.quiescent == 15
+    # The law comes from the rule's content; there is no per-filament override.
+    with pytest.raises(ValueError, match="^bad predictor <function "):
+        census(automaton_i(), 3, predictor=lambda f: True)
+    with pytest.raises(ValueError, match="^bad predictor 'none'$"):
+        census(automaton_i(), 3, predictor="none")
 
 
 def test_census_auto_resolves_known_rules_only():
@@ -166,9 +168,13 @@ def test_predictor_follows_rule_content_not_name(tmp_path):
     path = tmp_path / "mystery.rule"
     path.write_text(serialize_rule(automaton_i()))
     mystery = load_rule(str(path))
-    assert liveness_of(mystery).predict is liveness_of(automaton_i()).predict
+    assert liveness_of(mystery) is liveness_of(automaton_i())
+    assert liveness_of(impostor) is liveness_of(automaton_ii())
     assert census(mystery, 5).prediction_mismatches == 0
-    assert census(mystery, 5, predictor=predict_automaton_ii).prediction_mismatches > 0
+    # The simulation agrees with the parity law, so the end-zero law, which
+    # differs from it on these states, would report mismatches.
+    matrix = all_states_matrix(3, 5)
+    assert (liveness_of(automaton_ii()).predict(matrix) != liveness_of(mystery).predict(matrix)).any()
     config = PopulationConfig(rule=mystery, m=4, total_ticks=10, seed=0)
     assert config.resolved_growth_interval() == 6 * config.n0
     # Rules without a closed form get none, whatever they are called.
@@ -215,7 +221,7 @@ def test_census_report_is_line_oriented():
 
 
 def test_growth_matrix_shapes_and_stationarity():
-    g1 = growth_transition_matrix("automaton-i")
+    g1 = liveness_of(automaton_i()).growth
     assert g1.labels == ("live", "dead")
     assert g1.rows == (
         (Fraction(1, 3), Fraction(2, 3)),
@@ -225,17 +231,17 @@ def test_growth_matrix_shapes_and_stationarity():
     assert g1.stationary == (Fraction(1, 2), Fraction(1, 2))
     assert g1.is_stationary(g1.stationary)
 
-    g2 = growth_transition_matrix("automaton-ii")
+    g2 = liveness_of(automaton_ii()).growth
     assert g2.labels == ("both-ends-0", "one-end-0", "no-end-0")
     assert g2.row_sums() == (Fraction(1),) * 3
     assert g2.stationary == (Fraction(1, 9), Fraction(4, 9), Fraction(4, 9))
     assert g2.is_stationary(g2.stationary)
-    with pytest.raises(ValueError):
-        growth_transition_matrix("bouncer")
+    # A rule without a closed form has no growth matrix either.
+    assert liveness_of(bouncer_rule()) is None
 
 
 def test_growth_matrix_applied_to_converges():
-    g = growth_transition_matrix("automaton-i")
+    g = liveness_of(automaton_i()).growth
     dist = (Fraction(1), Fraction(0))
     for _ in range(40):
         dist = g.applied_to(dist)
@@ -243,36 +249,36 @@ def test_growth_matrix_applied_to_converges():
 
 
 def test_class_arrays_match_scalar_predictors():
+    # Classes recomputed row by row: parity from count_steps, end-zero from the end cells.
+    parity, end_zero = liveness_of(automaton_i()), liveness_of(automaton_ii())
     for n in range(1, 6):
-        states = list(product(range(3), repeat=n))
-        parity = parity_class_array(n)
-        endz = end_zero_class_array(n)
-        for i, cells in enumerate(states):
+        matrix = all_states_matrix(3, n)
+        parity_ids = parity.classes(matrix)
+        end_zero_ids = end_zero.classes(matrix)
+        assert parity_ids.dtype == end_zero_ids.dtype == np.int8
+        for i, cells in enumerate(product(range(3), repeat=n)):
             f = Filament(cells)
-            assert (parity[i] == 0) == predict_automaton_i(f)
-            assert endz[i] == end_zero_class(f)
+            assert parity_ids[i] == (0 if count_steps(f) % 2 == 1 else 1)
+            assert end_zero_ids[i] == 2 - (cells[0] == 0) - (cells[-1] == 0)
+    assert (parity.live, end_zero.live) == (0, 1)
+    assert (parity.sweeps, end_zero.sweeps) == (6, 2)
 
 
 def test_end_zero_class_values():
-    assert end_zero_class(Filament.from_string("010")) == 0
-    assert end_zero_class(Filament.from_string("011")) == 1
-    assert end_zero_class(Filament.from_string("110")) == 1
-    assert end_zero_class(Filament.from_string("111")) == 2
-    assert end_zero_class(Filament.from_string("0")) == 0
-    assert end_zero_class(Filament.from_string("1")) == 2
+    classes = liveness_of(automaton_ii()).classes
+    for text, expected in (("010", 0), ("011", 1), ("110", 1), ("111", 2), ("0", 0), ("1", 2)):
+        assert classes(np.array([Filament.from_string(text).cells])).tolist() == [expected]
 
 
 def test_measured_accretion_matches_declared_matrix():
     # Exhaustively append one cell to every length-5 state and compare the
     # class-transition frequencies with the declared matrices, exactly.
-    g1 = growth_transition_matrix("automaton-i")
-    measured = measure_accretion_matrix(
-        parity_class_array(5), parity_class_array(6), num_classes=2, num_states=3
-    )
-    assert measured == g1.rows
-
-    g2 = growth_transition_matrix("automaton-ii")
-    measured = measure_accretion_matrix(
-        end_zero_class_array(5), end_zero_class_array(6), num_classes=3, num_states=3
-    )
-    assert measured == g2.rows
+    for rule, num_classes in ((automaton_i(), 2), (automaton_ii(), 3)):
+        liveness = liveness_of(rule)
+        measured = measure_accretion_matrix(
+            liveness.classes(all_states_matrix(3, 5)),
+            liveness.classes(all_states_matrix(3, 6)),
+            num_classes=num_classes,
+            num_states=3,
+        )
+        assert measured == liveness.growth.rows

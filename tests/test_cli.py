@@ -183,6 +183,23 @@ def test_search_two_state_scan(capsys):
     assert "--budget only applies to the 3-state-symmetric-sample space" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", ["2-state", "3-state-sweeps"])
+def test_search_rejects_a_seed_outside_the_sampled_space(capsys, space):
+    rc = main(["search", "--space", space, "--lengths", "4", "--seed", "5"])
+    assert rc == 1
+    assert "--seed only applies to the 3-state-symmetric-sample space" in capsys.readouterr().err
+
+
+def test_search_sampled_space_seed_defaults_to_zero(capsys):
+    args = ["search", "--space", "3-state-symmetric-sample", "--budget", "1000", "--hunt-lengths", "2,3"]
+    assert main(args) == 0
+    unseeded = capsys.readouterr().out
+    assert main(args + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
+    assert main(args + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out != unseeded
+
+
 def test_search_witness_csv(capsys, tmp_path):
     path = tmp_path / "witnesses.csv"
     rc = main(["search", "--lengths", "4..5", "--witness-csv", str(path)])
@@ -248,6 +265,19 @@ def test_trace_random_needs_length(capsys):
     rc = main(["trace", "--rule", "automaton-i", "--init", "random:3"])
     assert rc == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["-2", "0"])
+def test_trace_rejects_a_length_below_one(capsys, length):
+    rc = main(["trace", "--rule", "automaton-i", "--init", "random:3", "--length", length, "--steps", "3"])
+    assert rc == 1
+    assert f"error: --length must be at least 1, not {length}\n" in capsys.readouterr().err
+
+
+def test_parse_initial_rejects_a_length_below_one():
+    for spec in ("random:3", "uniform:1", "[0^n]", "0"):
+        with pytest.raises(ValueError, match="^--length must be at least 1, not -2$"):
+            parse_initial(spec, -2, 3)
 
 
 def test_help_exits_zero(capsys):

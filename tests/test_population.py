@@ -230,6 +230,13 @@ def test_mean_activity_around_growth_sees_spikes():
     assert after > before
 
 
+@pytest.mark.parametrize("width", [0, -2])
+def test_mean_activity_around_growth_rejects_empty_windows(width):
+    run = run_population(small_config(growth_interval=5))
+    with pytest.raises(ValueError, match="^width must be at least 1$"):
+        mean_activity_around_growth(run, width=width)
+
+
 def test_population_csv_format():
     run = run_population(small_config(m=2, total_ticks=3, growth_interval=2))
     buf = io.StringIO()

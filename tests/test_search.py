@@ -724,6 +724,21 @@ def test_hunt_samples_random_symmetric_tables():
         assert 0 < candidate.stationary_live < 1
 
 
+def test_hunt_sample_seed_defaults_to_zero():
+    unseeded = hunt_viable_3state(ns=(2, 3), space="symmetric-sample", budget=40)
+    assert unseeded == hunt_viable_3state(ns=(2, 3), space="symmetric-sample", budget=40, seed=0)
+    assert unseeded != hunt_viable_3state(ns=(2, 3), space="symmetric-sample", budget=40, seed=1)
+
+
+@pytest.mark.parametrize("extra", [dict(budget=5, seed=3), dict(budget=5), dict(seed=3), dict(seed=0)])
+def test_hunt_rejects_budget_and_seed_outside_the_sample(extra):
+    # The sweep space has no draw, so a budget or seed there is a caller's mistake.
+    with pytest.raises(ValueError, match="^budget and seed only apply to the symmetric-sample space$"):
+        hunt_viable_3state(ns=(2, 3), **extra)
+    with pytest.raises(ValueError, match="^budget and seed only apply"):
+        hunt_viable_3state(ns=(2, 3), candidates=[FIRST_SWEEP], **extra)
+
+
 def test_hunt_result_report_lists_viable_rules():
     result = hunt_viable_3state(candidates=[FIRST_SWEEP])
     text = result.report()

@@ -38,7 +38,6 @@ from .population import (
 )
 from .render import render_ascii, render_pgm
 from .rules import (
-    CATALOGUE,
     RuleParseError,
     classify_rule,
     rule_named,
@@ -214,11 +213,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="scan a rule space")
     p.add_argument("--space", choices=("2-state", "3-state-sweeps", "3-state-symmetric-sample"), default="2-state")
-    p.add_argument("--lengths", default="4..10", help="e.g. 4..10 or 4,6,8")
-    p.add_argument("--k-a", type=int, default=2)
+    p.add_argument("--lengths", help="2-state scan lengths, e.g. 4..10 (the default) or 4,6,8")
+    p.add_argument("--k-a", type=int, help="2-state Type A change threshold (default 2)")
     p.add_argument("--budget", type=int, help="sample count of the 3-state-symmetric-sample space")
     p.add_argument("--seed", type=int, help="seed of the 3-state-symmetric-sample draw (default 0)")
-    p.add_argument("--hunt-lengths", default="4,5", help="probe lengths for the 3-state spaces")
+    p.add_argument("--hunt-lengths", help="probe lengths for the 3-state spaces (default 4,5)")
     p.add_argument("--audit-csv", help="write every rule's classification as CSV here")
     p.add_argument("--witness-csv", help="write one CSV row per witness rule here")
     p.add_argument("--out", help="report file (default stdout)")
@@ -303,16 +302,21 @@ def _cmd_population(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    for flag, value, space in (
-        ("--audit-csv", args.audit_csv, "2-state"),
-        ("--witness-csv", args.witness_csv, "2-state"),
-        ("--budget", args.budget, "3-state-symmetric-sample"),
-        ("--seed", args.seed, "3-state-symmetric-sample"),
+    two_state, sampled = args.space == "2-state", args.space == "3-state-symmetric-sample"
+    for flag, value, applies, where in (
+        ("--budget", args.budget, sampled, "the 3-state-symmetric-sample space"),
+        ("--seed", args.seed, sampled, "the 3-state-symmetric-sample space"),
+        ("--hunt-lengths", args.hunt_lengths, not two_state, "the 3-state spaces"),
+        ("--lengths", args.lengths, two_state, "the 2-state space"),
+        ("--k-a", args.k_a, two_state, "the 2-state space"),
+        ("--audit-csv", args.audit_csv, two_state, "the 2-state space"),
+        ("--witness-csv", args.witness_csv, two_state, "the 2-state space"),
     ):
-        if value is not None and args.space != space:
-            raise UsageError(f"{flag} only applies to the {space} space")
-    if args.space == "2-state":
-        verdict = search_type_a(lengths=_parse_lengths(args.lengths), k_a=args.k_a)
+        if value is not None and not applies:
+            raise UsageError(f"{flag} only applies to {where}")
+    if two_state:
+        lengths = _parse_lengths("4..10" if args.lengths is None else args.lengths)
+        verdict = search_type_a(lengths=lengths, k_a=2 if args.k_a is None else args.k_a)
         if args.audit_csv:
             with open(args.audit_csv, "w") as fh:
                 write_rule_audit_csv(fh)
@@ -321,8 +325,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 write_witness_csv(verdict.witnesses, fh)
         _write_out(verdict.report(), args.out)
         return EXIT_OK if verdict.complete else EXIT_UNRESOLVED
-    ns = _parse_lengths(args.hunt_lengths)
-    if args.space == "3-state-sweeps":
+    ns = _parse_lengths("4,5" if args.hunt_lengths is None else args.hunt_lengths)
+    if not sampled:
         result = hunt_viable_3state(ns=ns)
     else:
         if args.budget is None:
@@ -382,7 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"known rules: {', '.join(sorted(CATALOGUE))}, clock-<s>", file=sys.stderr)
         return EXIT_USAGE
     except (RuleParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

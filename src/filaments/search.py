@@ -30,6 +30,13 @@ every state's cycle without bounding the transient by simulation length.
 The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
 columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
+
+The hunt builds its successor maps the same way: each half of a length-n
+filament is read through a table over its half window, and the two halves
+meet in one broadcast (``_meet_halves``, shared with the scan). Pointer
+doubling over the flat map then gives each state's liveness. Lengths go in
+ascending order, and a candidate with no live or no dead state at a probe
+length is dropped before the next length is built.
 """
 
 from __future__ import annotations
@@ -304,43 +311,68 @@ _CHUNK_CELLS = 1 << 16
 
 
 @cache
-def _byte_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Successor bits of each half of a length-n state under every fingerprint byte.
+def _half_window_keys(num_states: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup-table keys of the cells each half window of a length-n filament decides.
 
     The first n//2 cells (head) and the rest (tail) each see one cell of the
     other half, so each half's successor is a function of a window one cell
-    wider. (head, tail)[c, b, w] holds the bits that the half's cells in
-    state c take in window w under fingerprint byte b.
+    wider: the head window adds the first tail cell and the tail window the
+    last head cell. Returns the (head cells, head windows) and (tail cells,
+    tail windows) flat keys, windows in state-id order.
     """
     head = n // 2
+    return tuple(
+        neighborhood_keys(all_states_matrix(num_states, width), num_states, 1)[:, cols].T.copy()
+        for width, cols in ((head + 1, slice(0, head)), (n - head + 1, slice(1, None)))
+    )
+
+
+def _meet_halves(heads: np.ndarray, tails: np.ndarray, base: int, n: int) -> np.ndarray:
+    """Successor id of every length-n state from its halves' successors: (B, base**n).
+
+    ``heads`` (B, base**(n//2 + 1)) and ``tails`` (B, base**(n - n//2 + 1))
+    hold each half's successor digits per half window (see
+    ``_half_window_keys``). The windows overlap in the two middle cells, so
+    the halves meet in one broadcast over (head cells but the last, last head
+    cell, first tail cell, tail cells but the first). The result has the
+    dtype of ``heads`` widened to that of ``tails``.
+    """
+    head, tail = n // 2, n - n // 2
+    shape = (len(heads), base ** (head - 1), base, base, base ** (tail - 1))
+    high = heads.reshape(shape[:4] + (1,)) * heads.dtype.type(base**tail)
+    return (high + tails.reshape((len(tails), 1) + shape[2:])).reshape(len(heads), base**n)
+
+
+@cache
+def _byte_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successor bits of each half of a length-n state under every fingerprint byte.
+
+    (head, tail)[c, b, w] holds the bits that the half's cells in state c
+    take in half window w (see ``_half_window_keys``) under fingerprint byte b.
+    """
     tables = []
-    for width, cols in ((head + 1, range(head)), (n - head + 1, range(1, n - head + 1))):
+    byte = np.arange(256, dtype=np.uint16)[:, None]
+    for keys in _half_window_keys(2, n):
         # The two-state key c*9 + l*3 + r is the rule-index bit: bit l*3 + r of byte c.
-        cell, code = divmod(neighborhood_keys(all_states_matrix(2, width), 2, 1), 9)
-        table = np.zeros((2, 256, 1 << width), dtype=np.uint16)
-        byte = np.arange(256, dtype=np.uint16)[:, None]
-        for shift, col in enumerate(reversed(cols)):
-            bit = ((byte >> code[:, col]) & 1) << shift
-            table[cell[:, col], :, np.arange(1 << width)] |= bit.T
+        cell, code = divmod(keys, 9)
+        windows = np.arange(keys.shape[1])
+        table = np.zeros((2, 256, len(windows)), dtype=np.uint16)
+        for shift, (c, k) in enumerate(zip(cell[::-1], code[::-1])):
+            table[c, :, windows] |= (((byte >> k) & 1) << shift).T
         tables.append(table)
     return tables[0], tables[1]
 
 
 def _successor_table(fps: np.ndarray, n: int) -> np.ndarray:
-    """Successor state id of every length-n state under each fingerprint: (len(fps), 2**n).
+    """Successor state id of every length-n state under each fingerprint: (len(fps), 2**n) int64.
 
     A cell in state c reads fingerprint bit c*8 + l*3 + r, so its next bit
-    depends on one byte of the fingerprint. The half windows overlap in the
-    two middle cells, so the halves meet in a broadcast over (head cells
-    but the last, last head cell, first tail cell, tail cells but the first).
+    depends on one byte of the fingerprint, and each half's bits are one
+    byte-table lookup per half window before the halves meet.
     """
     head, tail = _byte_tables(n)
-    head_bits, tail_bits = n // 2, n - n // 2
     low, high = fps & 0xFF, fps >> 8
-    shape = (len(fps), 1 << (head_bits - 1), 2, 2, 1 << (tail_bits - 1))
-    heads = (head[0][low] | head[1][high]).astype(np.int64).reshape(shape[:4] + (1,)) << tail_bits
-    tails = (tail[0][low] | tail[1][high]).reshape((len(fps), 1) + shape[2:])
-    return (heads | tails).reshape(len(fps), 1 << n)
+    return _meet_halves((head[0][low] | head[1][high]).astype(np.int64), tail[0][low] | tail[1][high], 2, n)
 
 
 def _rule_images(indices: np.ndarray) -> np.ndarray:
@@ -610,7 +642,7 @@ def search_type_a(
 # -- three-state sweep family hunt ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepParams:
     """A symmetric three-state rule built from sweep-style transitions.
 
@@ -767,8 +799,9 @@ class HuntResult:
 # Longest filament the hunt classifies (3**13 states); probe lengths go up to one less.
 _MAX_HUNT_LENGTH = 13
 
-# States per liveness chunk at the longest length the hunt reads.
-_HUNT_CHUNK_STATES = 1 << 14
+# States per liveness chunk at the longest length the hunt reads: 512 KB per
+# int64 working array, large enough that per-call overhead stays small.
+_HUNT_CHUNK_STATES = 1 << 16
 
 
 def _interesting_tables(tables: np.ndarray) -> np.ndarray:
@@ -781,42 +814,66 @@ def _interesting_tables(tables: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
 
 
-def _live_states(tables48: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per (table, state) liveness, eventual period >= 2: (len(tables48), 3**n).
+def _hunt_successors(tables48: np.ndarray, n: int) -> np.ndarray:
+    """Flat successor map of every length-n state under each flat (48,) table.
 
-    Every state gets the flat id row * 3**n + state, and ceil(log2 3**n)
-    doubling rounds walk each one 3**n or more steps, onto its cycle."""
-    size = keys.shape[1]
-    succ = np.zeros((len(tables48), size), dtype=np.int32)
-    for key in keys:
-        succ *= 3
-        succ += tables48[:, key]
-    succ = (succ + (np.arange(len(tables48)) * size)[:, None]).ravel()
-    f = succ
+    Returns (B, 3**n) int64: [b, x] is b * 3**n plus the id of the successor
+    of state x under table b. Each half's successor digits are read per half
+    window, n//2 + 1 and n - n//2 + 1 cells, and the halves meet in one
+    broadcast."""
+    heads, tails = (
+        sum(tables48[:, key].astype(np.int64) * 3 ** (len(keys) - 1 - i) for i, key in enumerate(keys))
+        for keys in _half_window_keys(3, n)
+    )
+    tails += np.arange(0, len(tables48) * 3**n, 3**n)[:, None]
+    return _meet_halves(heads, tails, 3, n)
+
+
+def _live_states(succ: np.ndarray) -> np.ndarray:
+    """Per (row, state) liveness, eventual period >= 2, of a flat successor map: (B, S) bool.
+
+    ``succ[b, x]`` is b * S plus the successor of state x in row b, so one
+    1-D gather steps every row. ceil(log2 S) doubling rounds walk each state
+    S or more steps, onto its cycle."""
+    rows, size = succ.shape
+    flat = succ.ravel()
+    f = flat
     for _ in range((size - 1).bit_length()):
         f = f.take(f)
-    return (succ.take(f) != f).reshape(len(tables48), size)
+    return (flat.take(f) != f).reshape(rows, size)
 
 
 def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
     """Accretion counts: [b, j, a, d] counts the (length-n state, appended cell)
     pairs at n = ns[j] whose state is live (a=0) or dead (a=1) and whose
-    extension is live (d=0) or dead (d=1); (len(tables), len(ns), 2, 2) int64."""
+    extension is live (d=0) or dead (d=1); (len(tables), len(ns), 2, 2) int64.
+
+    Lengths go in ascending order, and a table degenerate at a probe length
+    (no live or no dead state there) is dropped before the next length, so
+    its counts stay 0 from that probe length on."""
     needed = sorted(set(ns) | {n + 1 for n in ns})
-    keys = {n: neighborhood_keys(all_states_matrix(3, n), 3, 1).T.copy() for n in needed}
     rows = max(1, _HUNT_CHUNK_STATES // 3 ** needed[-1])
-    counts = np.empty((len(tables), len(ns), 2, 2), dtype=np.int64)
+    counts = np.zeros((len(tables), len(ns), 2, 2), dtype=np.int64)
     tables48 = tables.reshape(len(tables), 48)
     for start in range(0, len(tables), rows):
-        chunk = tables48[start : start + rows]
-        live = {n: _live_states(chunk, keys[n]) for n in needed}
-        for j, n in enumerate(ns):
-            counts[start : start + rows, j] = count_accretions(~live[n], ~live[n + 1], 2)
+        alive = np.arange(start, min(start + rows, len(tables)))
+        live = None
+        for n in needed:
+            prev, live = live, _live_states(_hunt_successors(tables48[alive], n))
+            if n in ns:
+                mixed = live.any(axis=1) & ~live.all(axis=1)
+                alive, live = alive[mixed], live[mixed]
+                if prev is not None:
+                    prev = prev[mixed]
+                if not len(alive):
+                    break
+            if n - 1 in ns:
+                counts[alive, ns.index(n - 1)] = count_accretions(~prev, ~live, 2)
     return counts
 
 
 def hunt_viable_3state(
-    ns: tuple[int, int] = (4, 5),
+    ns: tuple[int, ...] = (4, 5),
     candidates: Optional[Iterable[SweepParams]] = None,
     space: str = "sweeps",
     budget: Optional[int] = None,
@@ -838,8 +895,12 @@ def hunt_viable_3state(
     space, which is far too large to enumerate, with ``seed`` (default 0);
     ``budget`` and ``seed`` apply to that space only.
 
-    Candidates run as arrays: one interesting mask over all tables, then one
-    pointer-doubling liveness pass per chunk of candidates, reduced to counts.
+    Candidates run as arrays: one interesting mask over all tables, then,
+    per chunk of candidates, one successor map and one pointer-doubling
+    liveness pass per length, reduced to counts. Lengths go in ascending
+    order, and a candidate degenerate at a probe length is dropped before
+    the next length, so longer lengths are built only for candidates still
+    non-degenerate.
     """
     ns = tuple(sorted(set(int(n) for n in ns)))
     if len(ns) < 2:

@@ -215,6 +215,34 @@ def test_search_witness_csv(capsys, tmp_path):
     assert "--witness-csv only applies to the 2-state space" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", ["3-state-sweeps", "3-state-symmetric-sample"])
+@pytest.mark.parametrize("flag", ["--lengths", "--k-a", "--audit-csv"])
+def test_search_rejects_two_state_flags_in_the_three_state_spaces(capsys, tmp_path, space, flag):
+    value = {"--lengths": "9", "--k-a": "5", "--audit-csv": str(tmp_path / "audit.csv")}[flag]
+    budget = ["--budget", "5"] if space == "3-state-symmetric-sample" else []
+    assert main(["search", "--space", space, *budget, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} only applies to the 2-state space\n"
+    assert not (tmp_path / "audit.csv").exists()
+
+
+def test_search_rejects_hunt_lengths_in_the_two_state_space(capsys):
+    rc = main(["search", "--lengths", "4", "--hunt-lengths", "4,5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --hunt-lengths only applies to the 3-state spaces\n"
+
+
+def test_search_defaults_equal_their_explicit_values(capsys):
+    assert main(["search", "--lengths", "4..5"]) == 0
+    assert main(["search", "--lengths", "4..5", "--k-a", "2"]) == 0
+    implicit, explicit = capsys.readouterr().out.split("two-state radius-1 rule scan\n")[1:]
+    assert implicit == explicit and "k_a: 2\n" in implicit
+    sampled = ["search", "--space", "3-state-symmetric-sample", "--budget", "50"]
+    assert main(sampled) == 0
+    assert main(sampled + ["--hunt-lengths", "4,5"]) == 0
+    implicit, explicit = capsys.readouterr().out.split("three-state viability hunt\n")[1:]
+    assert implicit == explicit and "probe lengths: 4 5\n" in implicit
+
+
 def test_search_hunt_smoke(capsys):
     rc = main(["search", "--space", "3-state-symmetric-sample", "--budget", "25",
                "--seed", "1", "--hunt-lengths", "4,5"])
@@ -255,10 +283,18 @@ def test_rule_fmt_round_trip(capsys, tmp_path):
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
-    rc = main(["trace", "--rule", "no-such-rule", "--init", "000"])
+    rc = main(["trace", "--rule", "no-such-rule", "--init", "000", "--steps", "1"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "automaton-i" in err  # the hint lists known rules
+    assert "automaton-i" in err  # the unknown-rule error lists known rules
+
+
+def test_only_an_unknown_rule_lists_the_known_rules(capsys):
+    assert main(["search", "--lengths", "4", "--seed", "5"]) == 1
+    assert capsys.readouterr().err == "error: --seed only applies to the 3-state-symmetric-sample space\n"
+    assert main(["trace", "--rule", "automaton-i", "--init", "000"]) == 1
+    err = capsys.readouterr().err
+    assert "--steps" in err and "automaton-ii" not in err
 
 
 def test_trace_random_needs_length(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filaments import search
-from filaments.core import Filament, neighborhood_of
+from filaments.core import EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
 from filaments.engine import all_states_matrix, detect_cycle, run_trace
 from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule
 from filaments.search import (
@@ -934,7 +934,7 @@ def sweep_subset():
     return [params[i] for i in sorted(picks.tolist())] + [FIRST_SWEEP, SECOND_SWEEP]
 
 
-@pytest.mark.parametrize("ns", [(2, 3), (4, 5), (3, 5, 6)])
+@pytest.mark.parametrize("ns", [(2, 3), (4, 5), (3, 5), (3, 5, 6)])
 def test_hunt_matches_the_per_candidate_loop(ns, sweep_subset):
     result = hunt_viable_3state(ns=ns, candidates=sweep_subset)
     assert result == reference_hunt(ns, sweep_subset)
@@ -954,6 +954,46 @@ def test_hunt_matches_the_loop_one_candidate_per_chunk(sweep_subset, monkeypatch
     assert hunt_viable_3state(ns=(3, 4), candidates=subset) == reference_hunt((3, 4), subset)
 
 
+def test_hunt_drops_a_chunk_degenerate_at_the_first_probe(sweep_subset, monkeypatch):
+    # Interesting candidates with no live or no dead state of length 4 fill
+    # the first chunk, so lengths 5 and 6 are never built for it.
+    tables = search._sweep_tables(search._sweep_slots(sweep_subset))
+    live = search._live_states(search._hunt_successors(tables.reshape(-1, 48), 4))
+    degenerate = search._interesting_tables(tables) & (live.all(axis=1) | ~live.any(axis=1))
+    subset = [p for p, d in zip(sweep_subset, degenerate.tolist()) if d][:30] + [FIRST_SWEEP, SECOND_SWEEP]
+    assert len(subset) == 32
+    monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
+    built = []
+    successors = search._hunt_successors
+    monkeypatch.setattr(search, "_hunt_successors", lambda t, n: built.append((len(t), n)) or successors(t, n))
+    result = hunt_viable_3state(ns=(4, 5), candidates=subset)
+    assert built == [(30, 4), (2, 4), (2, 5), (2, 6)]
+    assert result.candidates_interesting == 32 and result.candidates_nondegenerate == 2
+    assert result == reference_hunt((4, 5), subset)
+
+
+def test_hunt_drops_tables_with_no_dead_state_at_the_first_probe(monkeypatch):
+    # No sweep candidate is live in every state, but random symmetric tables
+    # often are; such a chunk is dropped at length 4 as well.
+    tables = np.stack([symmetric_table(v) for v in np.random.default_rng(5).integers(0, 3, size=(400, 30))])
+    live = search._live_states(search._hunt_successors(tables.reshape(-1, 48), 4))
+    all_live = tables[live.all(axis=1)][:30]
+    assert len(all_live) == 30
+    monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
+    built = []
+    successors = search._hunt_successors
+    monkeypatch.setattr(search, "_hunt_successors", lambda t, n: built.append((len(t), n)) or successors(t, n))
+    assert not search._accretion_counts(all_live, (4, 5)).any()
+    assert built == [(30, 4)]
+
+
+def test_hunt_funnel_over_the_whole_sweep_space():
+    result = hunt_viable_3state()
+    funnel = (result.candidates_total, result.candidates_interesting, result.candidates_nondegenerate,
+              result.candidates_stable, len(result.viable))
+    assert funnel == (117_649, 78_192, 40_016, 578, 308)
+
+
 def reference_liveness(succ):
     """Walk every state len(succ) steps onto its cycle; live unless that is a fixed point."""
     state = np.arange(len(succ))
@@ -963,16 +1003,16 @@ def reference_liveness(succ):
 
 
 def assert_live_states_match_the_walk(succ, n):
-    # With keys set to the digits of ``succ``, table row [perm[k % 3] for k]
-    # sends each state to ``succ`` with its digits permuted: six rows, six
-    # successor maps in one call.
+    # ``succ`` with its digits permuted by each permutation of the three
+    # states: six rows, six successor maps in one flat map of one call.
     succ = np.asarray(succ, dtype=np.int64)
     digits = np.stack([succ // 3 ** (n - 1 - i) % 3 for i in range(n)])
     perms = np.array(list(permutations(range(3))), dtype=np.uint8)
-    got = search._live_states(perms[:, np.arange(48) % 3], digits)
     powers = 3 ** np.arange(n - 1, -1, -1)
-    for row, perm in zip(got, perms):
-        assert np.array_equal(row, reference_liveness(perm[digits].T @ powers))
+    maps = np.stack([perm[digits].T @ powers for perm in perms])
+    got = search._live_states(maps + 3**n * np.arange(len(perms))[:, None])
+    for row, want in zip(got, maps):
+        assert np.array_equal(row, reference_liveness(want))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -1007,16 +1047,54 @@ symmetric_tables = st.lists(st.integers(0, 2), min_size=30, max_size=30) | st.tu
 ).map(lambda planes: [v for plane in planes for v in plane])
 
 
+def symmetric_table(values):
+    """The (3, 4, 4) table whose upper triangles, row by row, hold the 30 values."""
+    table = np.empty((3, 4, 4), dtype=np.uint8)
+    upper = np.triu_indices(4)
+    table[:, upper[0], upper[1]] = table[:, upper[1], upper[0]] = np.reshape(values, (3, 10))
+    return table
+
+
 @given(st.lists(symmetric_tables, min_size=1, max_size=20))
 @settings(max_examples=60, deadline=None)
 def test_interesting_mask_matches_the_scalar_predicate(draws):
-    tables = np.empty((len(draws), 3, 4, 4), dtype=np.uint8)
-    upper = np.triu_indices(4)
-    values = np.array(draws, dtype=np.uint8).reshape(len(draws), 3, 10)
-    tables[:, :, upper[0], upper[1]] = values
-    tables[:, :, upper[1], upper[0]] = values
+    tables = np.stack([symmetric_table(values) for values in draws])
     want = [reference_table_interesting(t) for t in tables]
     assert search._interesting_tables(tables).tolist() == want
+
+
+def reference_successors(table, n):
+    """Successor id of every length-n state under a (3, 4, 4) table, code 3 for
+    EMPTY, cell by cell through a table of ``Rule.next_state`` answers."""
+    tokens = (0, 1, 2, EMPTY)
+    cells = [(c, l, r) for c in range(3) for l in range(4) for r in range(4)]
+    entries = [
+        RuleEntry(c, (tokens[l],), (tokens[r],), int(table[c, l, r])) for c, l, r in cells if table[c, l, r] != c
+    ]
+    rule = Rule("drawn", num_states=3, radius=1, symmetric=False, entries=tuple(entries))
+    oracle = np.zeros((3, 4, 4), dtype=np.int64)
+    for c, l, r in cells:
+        oracle[c, l, r] = rule.next_state(c, Neighborhood(1, (tokens[l],), (tokens[r],)))
+    padded = np.pad(all_states_matrix(3, n), ((0, 0), (1, 1)), constant_values=3)
+    succ = np.zeros(3**n, dtype=np.int64)
+    for i in range(1, n + 1):
+        succ = succ * 3 + oracle[padded[:, i], padded[:, i - 1], padded[:, i + 1]]
+    return succ
+
+
+# Any (3, 4, 4) table as 48 values, or a symmetric one.
+drawn_tables = st.lists(st.integers(0, 2), min_size=48, max_size=48).map(
+    lambda values: np.array(values, dtype=np.uint8).reshape(3, 4, 4)
+) | symmetric_tables.map(symmetric_table)
+
+
+@given(st.integers(2, 8), st.lists(drawn_tables, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_hunt_successors_match_the_scalar_interpreter(n, tables):
+    got = search._hunt_successors(np.stack(tables).reshape(len(tables), 48), n)
+    assert got.shape == (len(tables), 3**n)
+    for row, table in enumerate(tables):
+        assert np.array_equal(got[row] - row * 3**n, reference_successors(table, n))
 
 
 def test_sweep_tables_match_the_scalar_builder(sweep_subset):

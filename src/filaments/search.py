@@ -24,9 +24,13 @@ representative per orbit and maps each member's results through its
 group element.
 Successor tables come from per-length tables over the 256 values of each
 fingerprint byte, split at the middle of the filament so that they stay
-small at every length. Pointer doubling over flat indices (Wyllie's list
-ranking) then walks every state 2**n steps in n rounds, which classifies
-every state's cycle without bounding the transient by simulation length.
+small at every length. Every step of a Type-A cycle changes 1..k_a cells,
+so the scan keeps only the sparse states, whose own step does, and points
+every kept state whose successor was dropped at one sink node. Pointer
+doubling over flat indices (Wyllie's list ranking) then walks every kept
+state 2**n steps in n rounds; the cycles it lands on, the sink aside, are
+exactly the Type-A cycles, found without bounding the transient by
+simulation length.
 The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
 columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -274,6 +278,9 @@ class SearchVerdict:
     rules_with_type_a_cycle: int
     rules_with_travelling_type_a_cycle: int
     rules_with_sweeping_type_a_cycle: int
+    # (n, Type-A, travelling, sweeping) rule counts at each scanned length;
+    # not printed by report().
+    per_length: tuple[tuple[int, int, int, int], ...]
     witnesses: Witnesses
     complete: bool
 
@@ -433,14 +440,35 @@ def _state_images(n: int) -> np.ndarray:
     return np.stack([states, reversed_, states ^ ones, reversed_ ^ ones])
 
 
+class _Orbits(NamedTuple):
+    """The orbit representatives of a scan's fingerprints: ``reps`` holds the
+    distinct representatives, ascending, and, per fingerprint, ``rep_index``
+    the position of its representative in ``reps`` and ``element`` the group
+    element that carries the representative to it."""
+
+    reps: np.ndarray
+    rep_index: np.ndarray
+    element: np.ndarray
+
+
+def _orbit_groups(fps: np.ndarray) -> _Orbits:
+    """The orbits of a scan's fingerprints; the same at every length."""
+    rep_of, element_of = _fingerprint_orbits()
+    rep = rep_of[fps]
+    present = np.bincount(rep, minlength=1 << 16).astype(bool)
+    reps = np.flatnonzero(present).astype(np.uint16)
+    return _Orbits(reps, (np.cumsum(present) - 1)[rep], element_of[fps])
+
+
 def _scan_length(
-    fps: np.ndarray, n: int, k_a: int
+    fps: np.ndarray, n: int, k_a: int, orbits: Optional[_Orbits] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flag fingerprints with Type-A cycles at one length, over every length-n state.
 
     Returns (has_type_a, has_travelling, has_sweeping, witness_state,
     witness_k_max) over the fps array; a fingerprint's witness is sweeping
-    exactly when it has a sweeping cycle.
+    exactly when it has a sweeping cycle. ``orbits`` is ``_orbit_groups(fps)``,
+    built here when not given.
 
     Only one fingerprint per orbit of the group (id, R, C, RC) is
     simulated. Each element g permutes the states by pi_g and conjugates
@@ -448,79 +476,92 @@ def _scan_length(
     periods, step weights and changed-cell spans carry over and the three
     flags are the representative's.
 
-    Representatives go through in chunks of about ``_CHUNK_CELLS`` states.
-    Every state of a chunk gets a flat index, row * 2**n + state, so one
-    doubling pass is n rounds of 1-D gathers. A per-state word carries the
-    cells changed along the walk in its low n bits and, above them, the
-    step Hamming weights as thermometer codes, so that one OR per round
-    tracks both the union of changed cells and the largest step. After n
-    rounds each state's walk has reached its cycle and covered the cycle
-    in full; the cycle nodes are the walk's image. Each state then gets a
-    priority, 3 sweeping, 2 travelling, 1 Type-A, and a member g.rep takes
-    as witness the first state of highest priority in its own labelling:
-    the argmax of the representative's priorities gathered through pi_g.
+    Every step of a Type-A cycle changes 1..k_a cells: a cycle of period 2
+    or more changes a cell at every step, and a fixed point changes none.
+    So the Type-A cycles are exactly the cycles of the sparse subgraph, the
+    states whose own step changes 1..k_a cells. Representatives go through
+    in chunks of about ``_CHUNK_CELLS`` states; the sparse states of a chunk
+    are numbered 0..m-1, and one sink node m, which points to itself, takes
+    the place of every successor that is not sparse. Pointer doubling then
+    runs over those m + 1 nodes only, n rounds of 1-D gathers. A per-node
+    word carries the cells changed along the walk in its low n bits and,
+    above them, the step Hamming weights as thermometer codes, so that one
+    OR per round tracks both the union of changed cells and the largest
+    step. After n rounds each node's walk has reached its cycle or the sink
+    and has covered the cycle in full; the cycle nodes are the walk's image
+    but the sink. Each cycle state gets a priority, 3 sweeping,
+    2 travelling, 1 Type-A, and a member g.rep takes as witness the first
+    state of highest priority in its own labelling: the smallest pi_g image
+    of the representative's top-priority cycle states.
     """
     size = 1 << n
     rows = max(1, _CHUNK_CELLS >> n)
     state_ids = np.arange(size, dtype=np.int64)
-    rep_of, element_of = _fingerprint_orbits()
     perms = _state_images(n)
-    rep, element = rep_of[fps], element_of[fps]
-    # Members in representative order, so that each chunk's members are one slice.
-    by_rep = np.argsort(rep, kind="stable")
-    rep = rep[by_rep]
-    reps = np.unique(rep)
-    bounds = np.searchsorted(rep, reps[::rows]).tolist() + [len(rep)]
+    reps, rep_index, element = _orbit_groups(fps) if orbits is None else orbits
+    # No step changes more than n cells, so a larger k_a keeps the same states;
+    # capping it also keeps the span test's shift by k_a inside int64.
+    k_a = min(k_a, n)
 
-    has_ta = np.zeros(len(fps), dtype=bool)
-    has_trav = np.zeros(len(fps), dtype=bool)
-    has_sweep = np.zeros(len(fps), dtype=bool)
-    wit_state = np.full(len(fps), -1, dtype=np.int64)
-    wit_kmax = np.zeros(len(fps), dtype=np.int8)
+    # Per representative: the three flags, and per group element g the
+    # witness state of g.rep and its k_max.
+    rep_ta, rep_trav, rep_sweep = np.zeros((3, len(reps)), dtype=bool)
+    rep_state = np.full((4, len(reps)), -1, dtype=np.int64)
+    rep_kmax = np.zeros((4, len(reps)), dtype=np.int8)
 
-    for start, lo, hi in zip(range(0, len(reps), rows), bounds, bounds[1:]):
-        batch = reps[start : start + rows]
-        # Built in place, so that only word and walk are alive during the doubling.
-        walk = _successor_table(batch, n)
-        word = walk ^ state_ids
-        word |= ((1 << np.bitwise_count(word).astype(np.int64)) - 1) << n
-        word = word.ravel()
-        walk += (np.arange(len(batch), dtype=np.int64) * size)[:, None]
-        walk = walk.ravel()
+    for start in range(0, len(reps), rows):
+        # change[row * 2**n + state]: the cells the state's step changes, so
+        # the flat id of its successor is the flat id XOR its change.
+        change = _successor_table(reps[start : start + rows], n)
+        change ^= state_ids
+        change = change.ravel()
+        weight = np.bitwise_count(change)
+        kept = np.flatnonzero((weight >= 1) & (weight <= k_a))
+        sink = len(kept)
+        node = np.full(len(change), sink)
+        node[kept] = np.arange(sink)
+        step = change[kept]
+        walk = np.append(node[kept ^ step], sink)
+        word = np.append(step | ((1 << weight[kept].astype(np.int64)) - 1) << n, 0)
         for _ in range(n):
             word |= word[walk]
             walk = walk[walk]
-        on_cycle = np.zeros(len(batch) * size, dtype=bool)
+        on_cycle = np.zeros(sink + 1, dtype=bool)
         on_cycle[walk] = True
-        on_cycle = on_cycle.reshape(len(batch), size)
-        word = word.reshape(len(batch), size)
+        cycle = np.flatnonzero(on_cycle[:sink])
+        flat, word = kept[cycle], word[cycle]
         max_ham = np.bitwise_count(word >> n).astype(np.int8)
         union = word & (size - 1)
+        # The changed cells span more than k_a positions. Sweeping implies
+        # travelling only when n > k_a, so the flags stay separate.
+        trav = union >= (union & -union) << k_a
+        priority = trav.astype(np.uint8) + 1
+        priority[np.bitwise_count(union) == n] = 3
 
-        type_a_nodes = on_cycle & (max_ham >= 1) & (max_ham <= k_a)
-        # The changed cells span more than k_a positions, which needs k_a < n,
-        # so the shift stops at n; a shift by a large k_a would overflow int64.
-        trav_nodes = type_a_nodes & (union >= (union & -union) << min(k_a, n))
-        sweep_nodes = type_a_nodes & (np.bitwise_count(union) == n)
-        # Sweeping implies travelling only when n > k_a, so the flags stay separate.
-        priority = type_a_nodes.view(np.uint8) + trav_nodes
-        priority[sweep_nodes] = 3
+        # Cycle states are in flat order, so each Type-A row's are one run.
+        row = flat >> n
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        best = np.maximum.reduceat(priority, starts)
+        ta = start + row[starts]
+        rep_ta[ta] = True
+        rep_trav[ta] = np.logical_or.reduceat(trav, starts)
+        rep_sweep[ta] = best == 3
+        top = priority == np.repeat(best, np.diff(starts, append=len(row)))
+        # keys[g]: row * 2**n + pi_g(state) of each top state; the smallest per
+        # row is g.rep's witness, and pi_g of it the representative's state.
+        keys = (row[top] << n) | perms[:, flat[top] & (size - 1)]
+        first = np.minimum.reduceat(keys, np.flatnonzero(np.diff(row[top], prepend=-1)), axis=1) & (size - 1)
+        at_rep = (row[starts] << n) | np.take_along_axis(perms, first, axis=1)
+        rep_state[:, ta] = first
+        rep_kmax[:, ta] = max_ham[np.searchsorted(flat, at_rep)]
 
-        members = by_rep[lo:hi]
-        local = np.searchsorted(batch, rep[lo:hi])
-        batch_ta = type_a_nodes.any(axis=1)[local]
-        has_ta[members] = batch_ta
-        has_trav[members] = trav_nodes.any(axis=1)[local]
-        has_sweep[members] = sweep_nodes.any(axis=1)[local]
-        for g, perm in enumerate(perms):
-            pick = (element[members] == g) & batch_ta
-            if not pick.any():
-                continue
-            rows_g, picked = local[pick], members[pick]
-            first = np.argmax(priority[rows_g][:, perm], axis=1)
-            wit_state[picked] = first
-            wit_kmax[picked] = max_ham[rows_g, perm[first]]
-    return has_ta, has_trav, has_sweep, wit_state, wit_kmax
+    return (
+        rep_ta[rep_index],
+        rep_trav[rep_index],
+        rep_sweep[rep_index],
+        rep_state[element, rep_index],
+        rep_kmax[element, rep_index],
+    )
 
 
 def _witness_periods(fps: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
@@ -560,7 +601,7 @@ def _witness_fields(
     """
     wit_n, wit_state, wit_kmax, wit_trav, wit_sweep = witness
     periods = np.zeros(len(fps), dtype=np.int64)
-    for n in np.unique(wit_n).tolist():
+    for n in np.flatnonzero(np.bincount(wit_n)).tolist():
         at_n = wit_n == n
         periods[at_n] = _witness_periods(fps[at_n], wit_state[at_n], n)
     # A fingerprint's four indices differ in bits 8 and 17, the (empty, empty) entries.
@@ -586,6 +627,8 @@ def search_type_a(
     materialized, are skipped and make the verdict incomplete.
     """
     lengths = tuple(sorted(set(int(n) for n in lengths)))
+    if not lengths:
+        raise ValueError("scan needs at least one length")
     if any(n < 2 for n in lengths):
         raise ValueError("scan lengths must be at least 2")
     if k_a < 1:
@@ -600,20 +643,24 @@ def search_type_a(
         restricted[chosen] = True
         mask &= restricted
         rules_total = len(chosen)
-    fps = np.unique(fingerprint16(np.flatnonzero(mask)))
+    rules_per_fp = np.bincount(fingerprint16(np.flatnonzero(mask)), minlength=1 << 16)
+    fps = np.flatnonzero(rules_per_fp).astype(np.uint16)
+    rules_per_fp = rules_per_fp[fps]
+    orbits = _orbit_groups(fps)
 
     # Per fingerprint: Type-A, travelling and sweeping at any length, and the
     # witness found at the first length with one (n, state, k_max,
     # travelling, sweeping).
     type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
     witness = np.zeros((5, len(fps)), dtype=np.int64)
-    coverage = []
+    coverage, per_length = [], []
     for n in lengths:
         if n > _MAX_TABLE_LENGTH:
             coverage.append((n, "skipped"))
             continue
         coverage.append((n, "exhaustive"))
-        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a)
+        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a, orbits)
+        per_length.append((n, *(int(rules_per_fp[flags].sum()) for flags in (ta, trav, sweep))))
         newly = ta & ~type_a
         witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, sweep])[:, newly]
         # Flags found at later lengths still count, but the stored witness
@@ -634,6 +681,7 @@ def search_type_a(
         rules_with_type_a_cycle=len(members),
         rules_with_travelling_type_a_cycle=int(travelling[flagged][owner].sum()),
         rules_with_sweeping_type_a_cycle=int(sweeping[flagged][owner].sum()),
+        per_length=tuple(per_length),
         witnesses=Witnesses(members, *(field[owner] for field in fields)),
         complete=all(kind == "exhaustive" for _, kind in coverage),
     )

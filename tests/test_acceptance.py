@@ -403,13 +403,34 @@ def test_scan_witnesses_replay_from_full_run(full_scan):
         assert report.wave.k_max == w.k_max <= 2
 
 
-def test_sweeping_waves_vanish_at_length_six_and_beyond():
+def test_sweeping_waves_vanish_at_length_six_and_beyond(full_scan):
     # Sparse cycles that traverse the whole filament (every cell changes at
     # some point of the cycle) exist at lengths 4 and 5 and then die out:
-    # scanning lengths 6..10 exhaustively finds none at all.
-    verdict = search_type_a(lengths=range(6, 11))
+    # the exhaustive scan finds none at any length 6..10.
+    assert full_scan.complete
+    sweeping = {n: count for n, _, _, count in full_scan.per_length}
+    assert [sweeping[n] for n in range(6, 11)] == [0] * 5
+
+
+def test_scan_measured_totals_per_length(full_scan):
+    # (n, Type-A, travelling, sweeping) rules at each length of the default scan.
+    assert full_scan.per_length == (
+        (4, 137160, 31060, 1192),
+        (5, 111828, 30476, 16),
+        (6, 97620, 28844, 0),
+        (7, 91860, 29324, 0),
+        (8, 88572, 28052, 0),
+        (9, 87180, 27828, 0),
+        (10, 87668, 27996, 0),
+    )
+
+
+def test_scan_measured_totals_at_lengths_eleven_and_twelve():
+    # Companion to criterion 09, two lengths past the default scan: Type-A
+    # cycles pinned near one spot persist, and still none of them sweeps.
+    verdict = search_type_a(lengths=(11, 12))
     assert verdict.complete
-    assert verdict.rules_with_sweeping_type_a_cycle == 0
+    assert verdict.per_length == ((11, 87212, 27996, 0), (12, 87540, 28100, 0))
 
 
 def test_bouncer_sole_nonconverger_is_all_ones():

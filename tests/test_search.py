@@ -213,6 +213,26 @@ def test_scan_rejects_rule_indices_outside_the_space(indices):
         search_type_a(lengths=(4,), rule_indices=indices)
 
 
+def test_scan_rejects_an_empty_length_set():
+    # With no length scanned nothing is covered, so there is no verdict to report.
+    with pytest.raises(ValueError, match="^scan needs at least one length$"):
+        search_type_a(lengths=())
+
+
+def test_per_length_counts_are_the_single_length_totals():
+    indices = np.random.default_rng(5).choice(RULE_SPACE_SIZE, size=3000, replace=False)
+    verdict = search_type_a(lengths=(3, 4, 5, 23), rule_indices=indices)
+    # The skipped length 23 is not scanned, so it has no counts.
+    assert [entry[0] for entry in verdict.per_length] == [3, 4, 5]
+    for n, *counts in verdict.per_length:
+        one = search_type_a(lengths=(n,), rule_indices=indices)
+        assert one.per_length == ((n, *counts),)
+        assert counts == [one.rules_with_type_a_cycle, one.rules_with_travelling_type_a_cycle,
+                          one.rules_with_sweeping_type_a_cycle]
+    assert verdict.per_length[1][3] > 0  # sweeping cycles exist at n = 4
+    assert verdict.report() == dataclasses.replace(verdict, per_length=()).report()
+
+
 def test_scan_counts_each_rule_index_once():
     verdict = search_type_a(lengths=(4,), rule_indices=[4039, 4039, 4039])
     assert verdict.rules_total == 1
@@ -549,10 +569,52 @@ def test_scan_length_matches_the_reference_across_chunk_edges(n, chunk_cells, mo
         assert_scan_matches_reference(fps, n, k_a)
 
 
+# The identity fingerprint: byte c, read by cells in state c, is all c.
+IDENTITY_FP = 0xFF00
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_scan_length_on_a_chunk_with_no_sparse_state(n, monkeypatch):
+    # Every state is a fixed point of the identity, so its chunk keeps no
+    # state and its doubling runs over the sink alone. One representative
+    # per chunk puts it in a chunk of its own, between chunks that keep some.
+    assert np.array_equal(search._successor_table(np.array([IDENTITY_FP]), n), [np.arange(1 << n)])
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 1 << n)
+    drawn = np.random.default_rng(60 + n).integers(0, 1 << 16, size=12)
+    fps = np.unique(np.concatenate([[IDENTITY_FP], drawn])).astype(np.uint16)
+    for k_a in (1, 2):
+        assert_scan_matches_reference(fps, n, k_a)
+    assert not search._scan_length(np.array([IDENTITY_FP], dtype=np.uint16), n, 2)[0].any()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scan_length_keeps_every_changing_state_when_k_a_reaches_n(n):
+    fps = np.unique(np.random.default_rng(70 + n).integers(0, 1 << 16, size=400)).astype(np.uint16)
+    for k_a in (n, n + 3):
+        assert_scan_matches_reference(fps, n, k_a)
+
+
+def test_scan_length_with_a_huge_k_a_equals_k_a_of_n():
+    # A k_a past int64's shift range must neither overflow nor change a flag.
+    fps = np.unique(np.random.default_rng(80).integers(0, 1 << 16, size=2000)).astype(np.uint16)
+    huge = search._scan_length(fps, 4, 2**40)
+    for g, w in zip(huge, search._scan_length(fps, 4, 4)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert huge[0].any() and huge[1].sum() == 0
+    assert_scan_matches_reference(fps, 4, 2**40)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_scan_length_of_no_fingerprints(n):
+    got = search._scan_length(np.array([], dtype=np.uint16), n, 2)
+    assert [(g.dtype, g.shape) for g in got] == [(np.dtype(d), (0,)) for d in (bool, bool, bool, np.int64, np.int8)]
+    assert_scan_matches_reference(np.array([], dtype=np.uint16), n, 2)
+
+
 def test_scan_memory_stays_bounded_at_length_thirteen():
     # 600 whole orbits, 2,345 fingerprints, 8 representatives per chunk. The
-    # kernel before the orbit reduction peaked at 3.97 MiB here; mapping
-    # members through int64 (members x 2**13) index arrays adds 2 MiB.
+    # kernel before the orbit reduction peaked at 3.97 MiB here; the sparse
+    # kernel holds one chunk's int64 successor and node arrays (0.5 MiB each).
     rep_of, _ = search._fingerprint_orbits()
     reps = np.random.default_rng(13).choice(np.unique(rep_of), size=600, replace=False)
     fps = np.flatnonzero(np.isin(rep_of, reps)).astype(np.uint16)
@@ -641,7 +703,7 @@ def test_scan_over_single_members_of_orbits_matches_a_per_fingerprint_run(monkey
         verdict = search_type_a(rule_indices=indices, **kwargs)
         found = fingerprint16([w.rule_index for w in verdict.witnesses])
         assert (rep_of[found] != found).any()
-        monkeypatch.setattr(search, "_scan_length", reference_scan_length)
+        monkeypatch.setattr(search, "_scan_length", lambda fps, n, k_a, orbits: reference_scan_length(fps, n, k_a))
         assert search_type_a(rule_indices=indices, **kwargs) == verdict
         monkeypatch.undo()
 

@@ -5,9 +5,10 @@ found by rule content (the compiled lookup table), never by name. The
 record's ``classes`` function is the law: under ``automaton_i`` a filament
 ends up perpetually cycling exactly when its initial state has an odd number
 of steps (adjacent unequal pairs), and under ``automaton_ii`` exactly when
-it has a 0 at one end but not the other. ``census`` brute-forces every
-length-n filament and checks the law against the simulated outcome, which
-turns both claims into machine-checked facts at desk scale.
+it has a 0 at one end but not the other. ``census`` classifies every
+length-n filament from the successor map ``engine.successor_array`` builds
+and checks the law against the outcome, which turns both claims into
+machine-checked facts at desk scale.
 
 Growth arithmetic is exact: each record's ``growth`` matrix, over the same
 classes, is built from ``fractions.Fraction`` so stationarity checks are
@@ -30,14 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import Filament, Rule
-from .engine import (  # noqa: F401 -- the bench tracer wraps analysis.successor_array
-    all_states_matrix,
-    classify_functional_graph,
-    default_horizon,
-    state_ids,
-    step_array,
-    successor_array,
-)
+from .engine import all_states_matrix, classify_functional_graph, default_horizon, successor_array
 from .rules import automaton_i, automaton_ii
 
 __all__ = [
@@ -220,7 +214,8 @@ def census(
     content; unknown rules have none, so nothing is compared) or None (skip
     the comparison). Enumeration is lexicographic; the functional graph over
     all s**n states is classified in one pass, which agrees with per-state
-    cycle detection by determinism.
+    cycle detection by determinism. The (s**n, n) state matrix is built only
+    to compare a law.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -239,17 +234,18 @@ def census(
     else:
         raise ValueError(f"bad predictor {predictor!r}")
 
-    matrix = all_states_matrix(rule.num_states, n)
-    succ = state_ids(step_array(rule, matrix), rule.num_states)
-    transient, period = classify_functional_graph(succ)
+    transient, period = classify_functional_graph(successor_array(rule, n))
     resolved = (transient + period) <= horizon
     live_mask = resolved & (period >= 2)
     quiescent_mask = resolved & (period == 1)
 
-    wrong = np.zeros_like(live_mask)
+    mismatches, first_mismatch = 0, None
     if liveness is not None:
+        matrix = all_states_matrix(rule.num_states, n)
         wrong = liveness.predict(matrix) != live_mask
-    first = int(wrong.argmax())  # rows run in lexicographic order
+        mismatches = int(wrong.sum())
+        if mismatches:
+            first_mismatch = Filament(matrix[wrong.argmax()])  # rows run in lexicographic order
 
     return Census(
         rule_name=rule.name,
@@ -259,8 +255,8 @@ def census(
         quiescent=int(quiescent_mask.sum()),
         unresolved=int((~resolved).sum()),
         max_settle_time=int(transient.max()),
-        prediction_mismatches=int(wrong.sum()),
-        first_mismatch=Filament(matrix[first]) if wrong[first] else None,
+        prediction_mismatches=mismatches,
+        first_mismatch=first_mismatch,
     )
 
 

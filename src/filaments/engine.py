@@ -24,11 +24,19 @@ per step: ``step_array`` checks its array, ``run_trace`` and ``detect_cycle``
 their starting row, and the kernel reads ``lookup_image``, which checks once
 per rule that every table value is a state. A row in range then steps to a
 row in range, so the loops check nothing more.
+
+Whole state spaces have one successor builder (``_successor_map``), a
+two-block reading of the de Bruijn window decomposition (Sutner 1991): each
+half of a filament is decided by a window r cells wider, its digits are
+looked up once per window, and the halves meet in one broadcast, with no
+(s**n, n) state matrix. The census (through ``successor_array``) and the
+three-state hunt call it; the two-state scan uses its windows and meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -322,7 +330,7 @@ def detect_cycle(
                             settle_time=None, horizon=horizon, max_cells_changed=None)
 
 
-# -- whole-state-space helpers -----------------------------------------------
+# -- whole-state-space helpers: state ids and the half-window meet -----------
 
 
 def all_states_matrix(num_states: int, n: int) -> np.ndarray:
@@ -349,9 +357,59 @@ def state_ids(states: np.ndarray, num_states: int) -> np.ndarray:
     return ids
 
 
+@cache
+def _half_window_keys(num_states: int, radius: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup-table keys of the cells each half window of a length-n filament decides.
+
+    The first n//2 cells (head) read cells [0, min(n, n//2 + r)) and the rest
+    (tail) cells [max(0, n//2 - r), n); an edge of either window inside the
+    filament is never read. Returns the (head cells, head windows) and (tail
+    cells, tail windows) flat keys, windows in state-id order.
+    """
+    head = n // 2
+    start, stop = max(0, head - radius), min(n, head + radius)
+    return tuple(
+        neighborhood_keys(all_states_matrix(num_states, width), num_states, radius)[:, cols].T.copy()
+        for width, cols in ((stop, slice(0, head)), (n - start, slice(head - start, None)))
+    )
+
+
+def _meet_halves(heads: np.ndarray, tails: np.ndarray, num_states: int, radius: int, n: int) -> np.ndarray:
+    """Successor id of every length-n state from its halves' successors: (B, s**n).
+
+    ``heads`` and ``tails`` hold each half's successor digits per half window
+    (see ``_half_window_keys``), one row per table. The windows have a and t
+    cells of their own and share o, so they meet in one broadcast over
+    (B, s**a, s**o, s**t), in the dtype of ``heads`` widened to that of ``tails``.
+    """
+    head = n // 2
+    start, stop = max(0, head - radius), min(n, head + radius)
+    shape = (len(heads), num_states**start, num_states ** (stop - start), num_states ** (n - stop))
+    high = heads.reshape(shape[:3] + (1,)) * heads.dtype.type(num_states ** (n - head))
+    return (high + tails.reshape((len(tails), 1) + shape[2:])).reshape(len(heads), num_states**n)
+
+
+def _successor_map(tables: np.ndarray, num_states: int, radius: int, n: int) -> np.ndarray:
+    """Flat successor map of every length-n state under each of B flat lookup tables.
+
+    Returns (B, s**n) int64: [b, x] is b * s**n plus the id of the successor
+    of state x under ``tables[b]``, laid out as ``Rule.lookup_table.ravel()``.
+    """
+    if n < 1:
+        raise ValueError("filaments need at least one cell")
+    heads, tails = (
+        num_states ** np.arange(len(keys) - 1, -1, -1, dtype=np.int64) @ tables[:, keys]
+        for keys in _half_window_keys(num_states, radius, n)
+    )
+    tails += np.arange(0, len(tables) * num_states**n, num_states**n)[:, None]
+    return _meet_halves(heads, tails, num_states, radius, n)
+
+
 def successor_array(rule: Rule, n: int) -> np.ndarray:
-    """State id of the successor of every length-``n`` filament."""
-    return state_ids(step_array(rule, all_states_matrix(rule.num_states, n)), rule.num_states)
+    """State id of the successor of every length-``n`` filament; a table value
+    outside ``[0, rule.num_states)`` raises ``ValueError``, as in ``step_array``."""
+    rule.lookup_image  # checks once per rule that every table value is a state
+    return _successor_map(rule.lookup_table.reshape(1, -1), rule.num_states, rule.radius, n)[0]
 
 
 def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

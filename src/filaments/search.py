@@ -23,24 +23,24 @@ initial state, a set the group maps onto itself, so the scan simulates one
 representative per orbit and maps each member's results through its
 group element.
 Successor tables come from per-length tables over the 256 values of each
-fingerprint byte, split at the middle of the filament so that they stay
-small at every length. Every step of a Type-A cycle changes 1..k_a cells,
-so the scan keeps only the sparse states, whose own step does, and points
-every kept state whose successor was dropped at one sink node. Pointer
-doubling over flat indices (Wyllie's list ranking) then walks every kept
-state 2**n steps in n rounds; the cycles it lands on, the sink aside, are
-exactly the Type-A cycles, found without bounding the transient by
-simulation length.
+fingerprint byte, one per half window of the filament, which meet in the
+middle as in ``engine._successor_map``, so they stay small at every length.
+Every step of a Type-A cycle changes 1..k_a cells, so the scan keeps only
+the sparse states, whose own step does, and points every kept state whose
+successor was dropped at one sink node. Pointer doubling over flat indices
+(Wyllie's list ranking) then walks every kept state 2**n steps in n rounds;
+the cycles it lands on, the sink aside, are exactly the Type-A cycles,
+found without bounding the transient by simulation length. Each witness's
+period is walked in the same table.
 The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
 columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
 
-The hunt builds its successor maps the same way: each half of a length-n
-filament is read through a table over its half window, and the two halves
-meet in one broadcast (``_meet_halves``, shared with the scan). Pointer
-doubling over the flat map then gives each state's liveness. Lengths go in
-ascending order, and a candidate with no live or no dead state at a probe
-length is dropped before the next length is built.
+The hunt builds its successor maps with ``engine._successor_map``, the
+half-window meet the census uses too; pointer doubling over the flat map
+then gives each state's liveness. Lengths go in ascending order, and a
+candidate with no live or no dead state at a probe length is dropped before
+the next length is built.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ import numpy as np
 
 from .core import ANY, EMPTY, Rule, RuleEntry
 from .analysis import count_accretions
-from .engine import all_states_matrix, neighborhood_keys
+from .engine import _half_window_keys, _meet_halves, _successor_map
+from .engine import all_states_matrix  # noqa: F401 -- the bench tracer wraps search.all_states_matrix
 
 __all__ = [
     "HuntCandidate",
@@ -318,48 +319,15 @@ _CHUNK_CELLS = 1 << 16
 
 
 @cache
-def _half_window_keys(num_states: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lookup-table keys of the cells each half window of a length-n filament decides.
-
-    The first n//2 cells (head) and the rest (tail) each see one cell of the
-    other half, so each half's successor is a function of a window one cell
-    wider: the head window adds the first tail cell and the tail window the
-    last head cell. Returns the (head cells, head windows) and (tail cells,
-    tail windows) flat keys, windows in state-id order.
-    """
-    head = n // 2
-    return tuple(
-        neighborhood_keys(all_states_matrix(num_states, width), num_states, 1)[:, cols].T.copy()
-        for width, cols in ((head + 1, slice(0, head)), (n - head + 1, slice(1, None)))
-    )
-
-
-def _meet_halves(heads: np.ndarray, tails: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Successor id of every length-n state from its halves' successors: (B, base**n).
-
-    ``heads`` (B, base**(n//2 + 1)) and ``tails`` (B, base**(n - n//2 + 1))
-    hold each half's successor digits per half window (see
-    ``_half_window_keys``). The windows overlap in the two middle cells, so
-    the halves meet in one broadcast over (head cells but the last, last head
-    cell, first tail cell, tail cells but the first). The result has the
-    dtype of ``heads`` widened to that of ``tails``.
-    """
-    head, tail = n // 2, n - n // 2
-    shape = (len(heads), base ** (head - 1), base, base, base ** (tail - 1))
-    high = heads.reshape(shape[:4] + (1,)) * heads.dtype.type(base**tail)
-    return (high + tails.reshape((len(tails), 1) + shape[2:])).reshape(len(heads), base**n)
-
-
-@cache
 def _byte_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Successor bits of each half of a length-n state under every fingerprint byte.
 
     (head, tail)[c, b, w] holds the bits that the half's cells in state c
-    take in half window w (see ``_half_window_keys``) under fingerprint byte b.
+    take in half window w (see ``engine._half_window_keys``) under fingerprint byte b.
     """
     tables = []
     byte = np.arange(256, dtype=np.uint16)[:, None]
-    for keys in _half_window_keys(2, n):
+    for keys in _half_window_keys(2, 1, n):
         # The two-state key c*9 + l*3 + r is the rule-index bit: bit l*3 + r of byte c.
         cell, code = divmod(keys, 9)
         windows = np.arange(keys.shape[1])
@@ -379,7 +347,7 @@ def _successor_table(fps: np.ndarray, n: int) -> np.ndarray:
     """
     head, tail = _byte_tables(n)
     low, high = fps & 0xFF, fps >> 8
-    return _meet_halves((head[0][low] | head[1][high]).astype(np.int64), tail[0][low] | tail[1][high], 2, n)
+    return _meet_halves((head[0][low] | head[1][high]).astype(np.int64), tail[0][low] | tail[1][high], 2, 1, n)
 
 
 def _rule_images(indices: np.ndarray) -> np.ndarray:
@@ -462,13 +430,13 @@ def _orbit_groups(fps: np.ndarray) -> _Orbits:
 
 def _scan_length(
     fps: np.ndarray, n: int, k_a: int, orbits: Optional[_Orbits] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flag fingerprints with Type-A cycles at one length, over every length-n state.
 
     Returns (has_type_a, has_travelling, has_sweeping, witness_state,
-    witness_k_max) over the fps array; a fingerprint's witness is sweeping
-    exactly when it has a sweeping cycle. ``orbits`` is ``_orbit_groups(fps)``,
-    built here when not given.
+    witness_k_max, witness_period) over the fps array; a fingerprint's
+    witness is sweeping exactly when it has a sweeping cycle. ``orbits`` is
+    ``_orbit_groups(fps)``, built here when not given.
 
     Only one fingerprint per orbit of the group (id, R, C, RC) is
     simulated. Each element g permutes the states by pi_g and conjugates
@@ -492,7 +460,8 @@ def _scan_length(
     but the sink. Each cycle state gets a priority, 3 sweeping,
     2 travelling, 1 Type-A, and a member g.rep takes as witness the first
     state of highest priority in its own labelling: the smallest pi_g image
-    of the representative's top-priority cycle states.
+    of the representative's top-priority cycle states. Its period is the
+    length of the walk from pi_g of it back to itself in the chunk's table.
     """
     size = 1 << n
     rows = max(1, _CHUNK_CELLS >> n)
@@ -504,10 +473,11 @@ def _scan_length(
     k_a = min(k_a, n)
 
     # Per representative: the three flags, and per group element g the
-    # witness state of g.rep and its k_max.
+    # witness state of g.rep, its k_max and its period.
     rep_ta, rep_trav, rep_sweep = np.zeros((3, len(reps)), dtype=bool)
     rep_state = np.full((4, len(reps)), -1, dtype=np.int64)
     rep_kmax = np.zeros((4, len(reps)), dtype=np.int8)
+    rep_period = np.zeros((4, len(reps)), dtype=np.int64)
 
     for start in range(0, len(reps), rows):
         # change[row * 2**n + state]: the cells the state's step changes, so
@@ -554,6 +524,13 @@ def _scan_length(
         at_rep = (row[starts] << n) | np.take_along_axis(perms, first, axis=1)
         rep_state[:, ta] = first
         rep_kmax[:, ta] = max_ham[np.searchsorted(flat, at_rep)]
+        # Witnesses are cycle states, so every walk comes back; all go in lockstep.
+        cur, period, away = at_rep.copy(), np.zeros_like(at_rep), np.ones(at_rep.shape, dtype=bool)
+        while away.any():
+            cur ^= change[cur]
+            period += away
+            away &= cur != at_rep
+        rep_period[:, ta] = period
 
     return (
         rep_ta[rep_index],
@@ -561,31 +538,8 @@ def _scan_length(
         rep_sweep[rep_index],
         rep_state[element, rep_index],
         rep_kmax[element, rep_index],
+        rep_period[element, rep_index],
     )
-
-
-def _witness_periods(fps: np.ndarray, states: np.ndarray, n: int) -> np.ndarray:
-    """Cycle periods of one cycle state per fingerprint, walked in lockstep."""
-    size = 1 << n
-    rows = max(1, _CHUNK_CELLS >> n)
-    periods = np.zeros(len(fps), dtype=np.int64)
-    for start in range(0, len(fps), rows):
-        sl = slice(start, start + rows)
-        t = _successor_table(fps[sl], n).ravel()
-        home = states[sl]
-        base = np.arange(len(home), dtype=np.int64) << n
-        cur = t[base + home]
-        step = 1
-        open_mask = np.ones(len(home), dtype=bool)
-        while open_mask.any():
-            closed = open_mask & (cur == home)
-            periods[sl][closed] = step
-            open_mask &= ~closed
-            if step > size:
-                raise AssertionError("walked past the state count without closing")
-            cur[open_mask] = t[base[open_mask] + cur[open_mask]]
-            step += 1
-    return periods
 
 
 def _witness_fields(
@@ -593,24 +547,19 @@ def _witness_fields(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """What the witness columns are gathered from.
 
-    ``witness`` holds the (n, state, k_max, travelling, sweeping) rows of
-    each fingerprint's first witness. Returns the interesting rule indices
-    with one of the fingerprints, in rule order; the position in ``fps``
-    of each one's fingerprint; and per fingerprint the witness's n, state,
-    period, k_max, travelling and sweeping.
+    ``witness`` holds the (n, state, period, k_max, travelling, sweeping)
+    rows of each fingerprint's first witness. Returns the interesting rule
+    indices with one of the fingerprints, in rule order; the position in
+    ``fps`` of each one's fingerprint; and per fingerprint the witness's n,
+    state, period, k_max, travelling and sweeping.
     """
-    wit_n, wit_state, wit_kmax, wit_trav, wit_sweep = witness
-    periods = np.zeros(len(fps), dtype=np.int64)
-    for n in np.flatnonzero(np.bincount(wit_n)).tolist():
-        at_n = wit_n == n
-        periods[at_n] = _witness_periods(fps[at_n], wit_state[at_n], n)
     # A fingerprint's four indices differ in bits 8 and 17, the (empty, empty) entries.
     fp = fps.astype(np.int64)
     members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
     owner = np.broadcast_to(np.arange(len(fps))[:, None], members.shape)[mask[members]]
     members = members[mask[members]]
     order = np.argsort(members)
-    return members[order], owner[order], (wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep)
+    return members[order], owner[order], tuple(witness)
 
 
 def search_type_a(
@@ -649,20 +598,20 @@ def search_type_a(
     orbits = _orbit_groups(fps)
 
     # Per fingerprint: Type-A, travelling and sweeping at any length, and the
-    # witness found at the first length with one (n, state, k_max,
+    # witness found at the first length with one (n, state, period, k_max,
     # travelling, sweeping).
     type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
-    witness = np.zeros((5, len(fps)), dtype=np.int64)
+    witness = np.zeros((6, len(fps)), dtype=np.int64)
     coverage, per_length = [], []
     for n in lengths:
         if n > _MAX_TABLE_LENGTH:
             coverage.append((n, "skipped"))
             continue
         coverage.append((n, "exhaustive"))
-        ta, trav, sweep, state, k_max = _scan_length(fps, n, k_a, orbits)
+        ta, trav, sweep, state, k_max, period = _scan_length(fps, n, k_a, orbits)
         per_length.append((n, *(int(rules_per_fp[flags].sum()) for flags in (ta, trav, sweep))))
         newly = ta & ~type_a
-        witness[:, newly] = np.stack([np.full(len(fps), n), state, k_max, trav, sweep])[:, newly]
+        witness[:, newly] = np.stack([np.full(len(fps), n), state, period, k_max, trav, sweep])[:, newly]
         # Flags found at later lengths still count, but the stored witness
         # stays the first one.
         type_a |= ta
@@ -862,21 +811,6 @@ def _interesting_tables(tables: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
 
 
-def _hunt_successors(tables48: np.ndarray, n: int) -> np.ndarray:
-    """Flat successor map of every length-n state under each flat (48,) table.
-
-    Returns (B, 3**n) int64: [b, x] is b * 3**n plus the id of the successor
-    of state x under table b. Each half's successor digits are read per half
-    window, n//2 + 1 and n - n//2 + 1 cells, and the halves meet in one
-    broadcast."""
-    heads, tails = (
-        sum(tables48[:, key].astype(np.int64) * 3 ** (len(keys) - 1 - i) for i, key in enumerate(keys))
-        for keys in _half_window_keys(3, n)
-    )
-    tails += np.arange(0, len(tables48) * 3**n, 3**n)[:, None]
-    return _meet_halves(heads, tails, 3, n)
-
-
 def _live_states(succ: np.ndarray) -> np.ndarray:
     """Per (row, state) liveness, eventual period >= 2, of a flat successor map: (B, S) bool.
 
@@ -907,7 +841,7 @@ def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
         alive = np.arange(start, min(start + rows, len(tables)))
         live = None
         for n in needed:
-            prev, live = live, _live_states(_hunt_successors(tables48[alive], n))
+            prev, live = live, _live_states(_successor_map(tables48[alive], 3, 1, n))
             if n in ns:
                 mixed = live.any(axis=1) & ~live.all(axis=1)
                 alive, live = alive[mixed], live[mixed]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from filaments import analysis
 from filaments.analysis import (
     Census,
     CensusBudgetError,
@@ -184,6 +185,21 @@ def test_predictor_follows_rule_content_not_name(tmp_path):
             rule=bouncer_rule(), m=4, total_ticks=10, seed=0, growth_interval=9,
             live_metric="classification",
         )
+
+
+def test_census_builds_a_state_matrix_only_to_compare_a_law(monkeypatch):
+    # Without a law to compare (predictor None, or a rule with no closed
+    # form) the census reads only the successor map.
+    runs = [(automaton_i(), None), (bouncer_rule(), "auto"), (clock_rule(3), "auto")]
+    want = [census(rule, 6, predictor=predictor).report() for rule, predictor in runs]
+
+    def refuse(*args):
+        raise AssertionError("census built a state matrix it does not read")
+
+    monkeypatch.setattr(analysis, "all_states_matrix", refuse)
+    assert [census(rule, 6, predictor=predictor).report() for rule, predictor in runs] == want
+    with pytest.raises(AssertionError, match="does not read"):
+        census(automaton_i(), 6)
 
 
 def test_census_budget_guard():

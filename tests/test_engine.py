@@ -12,6 +12,7 @@ from filaments.core import ANY, EMPTY, Filament, Neighborhood, Rule, RuleEntry, 
 from filaments.engine import (
     TrajectoryReport,
     WaveType,
+    _successor_map,
     all_states_matrix,
     classify_functional_graph,
     count_steps,
@@ -100,6 +101,8 @@ def test_out_of_range_table_values_raise_on_the_first_step(s, r):
         detect_cycle(rule, Filament((1, 0, 0)))
     with pytest.raises(ValueError, match=match):
         run_trace(rule, Filament((1, 0, 0)), 1)
+    with pytest.raises(ValueError, match=match):
+        successor_array(rule, 3)
     cfg = PopulationConfig(rule=rule, m=2, total_ticks=3, seed=1, n0=3, growth_interval=2)
     with pytest.raises(ValueError, match=match):
         run_population(cfg, initial_states=np.array([[1, 0, 0], [0, 0, 0]]))
@@ -488,6 +491,39 @@ def test_successor_array_matches_step(rule, n):
         f = Filament(tuple(int(v) for v in matrix[state_id]))
         stepped = step(rule, f)
         assert succ[state_id] == int(np.array(stepped.cells) @ powers)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_successor_array_rejects_lengths_below_one(n):
+    with pytest.raises(ValueError, match="at least one cell"):
+        successor_array(automaton_i(), n)
+    with pytest.raises(ValueError, match="at least one cell"):
+        _successor_map(automaton_i().lookup_table.reshape(1, -1), 3, 1, n)
+
+
+# Every (s, r) of the successor map's property test, with the lengths 1..7 whose
+# s**n states stay within 5 * 10**4; every n < 2r is among them.
+BUILDER_CASES = [(s, 1) for s in range(2, 6)] + [(s, 2) for s in range(2, 5)]
+
+
+@pytest.mark.parametrize("s, r", BUILDER_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_successor_map_matches_the_census_pipeline_and_the_interpreter(s, r, data):
+    rules = [data.draw(conflict_free_rules(s, r)) for _ in range(2)]
+    tables = np.stack([rule.lookup_table.ravel() for rule in rules])
+    for n in (n for n in range(1, 8) if s**n <= 5 * 10**4):
+        matrix = all_states_matrix(s, n)
+        both = _successor_map(tables, s, r, n)
+        assert both.shape == (2, s**n) and both.dtype == np.int64
+        for b, rule in enumerate(rules):
+            succ = successor_array(rule, n)
+            assert np.array_equal(succ, state_ids(step_array(rule, matrix), s)), n
+            assert np.array_equal(both[b] - b * s**n, succ), n
+            for state_id in data.draw(st.lists(st.integers(0, s**n - 1), min_size=1, max_size=3)):
+                f = Filament(tuple(matrix[state_id].tolist()))
+                nxt = [rule.next_state(f[i], neighborhood_of(f, i, r)) for i in range(n)]
+                assert succ[state_id] == state_ids(np.array([nxt]), s)[0], (n, state_id)
 
 
 def walk_functional_graph(succ):

@@ -1,11 +1,14 @@
 """Every module-level import in the package is used (a stdlib stand-in for pyflakes F401)."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filaments"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "filaments"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -65,3 +68,22 @@ def test_the_check_finds_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 3: osp", "line 4: Iterable"]
+
+
+def test_every_attribute_the_bench_tracer_wraps_exists(monkeypatch):
+    # The tracer wraps functions at the module attributes callers reach them
+    # through; some of those are imports a module keeps only for it.
+    perfbench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    had_workloads = "workloads" in sys.modules
+    spec = importlib.util.spec_from_file_location("bench_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(tracer)
+        targets = tracer.targets()
+    finally:
+        if not had_workloads:
+            sys.modules.pop("workloads", None)
+    assert targets
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in targets if not hasattr(module, attr)]
+    assert missing == []

@@ -442,8 +442,28 @@ def _bit_span(values):
     return np.where(vals > 0, hi - lo + 1, 0)
 
 
+def lockstep_periods(table, states):
+    """Cycle period of one cycle state per row of a (rows, 2**n) successor table,
+    the rows walked in lockstep."""
+    rows = np.arange(len(states))
+    cur = table[rows, states]
+    periods = np.zeros(len(states), dtype=np.int64)
+    step = 1
+    open_mask = np.ones(len(states), dtype=bool)
+    while open_mask.any():
+        closed = open_mask & (cur == states)
+        periods[closed] = step
+        open_mask &= ~closed
+        if step > table.shape[1]:
+            raise AssertionError("walked past the state count without closing")
+        cur[open_mask] = table[rows[open_mask], cur[open_mask]]
+        step += 1
+    return periods
+
+
 def reference_scan_length(fps, n, k_a, chunk_size=4096):
-    """The scan kernel as first written: 2-D tables, two doubling loops."""
+    """The scan kernel as first written: 2-D tables, two doubling loops, and
+    each witness's period from a lockstep walk."""
     size = 1 << n
     cells = all_states_matrix(2, n)
     left = np.full_like(cells, 2)
@@ -459,6 +479,7 @@ def reference_scan_length(fps, n, k_a, chunk_size=4096):
     has_sweep = np.zeros(len(fps), dtype=bool)
     wit_state = np.full(len(fps), -1, dtype=np.int64)
     wit_kmax = np.zeros(len(fps), dtype=np.int8)
+    wit_period = np.zeros(len(fps), dtype=np.int64)
 
     for start in range(0, len(fps), chunk_size):
         batch = fps[start : start + chunk_size].astype(np.uint32)
@@ -502,13 +523,14 @@ def reference_scan_length(fps, n, k_a, chunk_size=4096):
         has_sweep[sl] = batch_sweep
         wit_state[sl] = np.where(batch_ta, first, -1)
         wit_kmax[sl] = np.where(batch_ta, max_ham[rows[:, 0], first], 0)
-    return has_ta, has_trav, has_sweep, wit_state, wit_kmax
+        wit_period[sl][batch_ta] = lockstep_periods(t[batch_ta], first[batch_ta])
+    return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_period
 
 
 def assert_scan_matches_reference(fps, n, k_a):
     got = search._scan_length(fps, n, k_a)
     want = reference_scan_length(fps, n, k_a)
-    names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state", "witness_k_max")
+    names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state", "witness_k_max", "witness_period")
     assert len(got) == len(want) == len(names)
     for name, g, w in zip(names, got, want):
         assert g.dtype == w.dtype, name
@@ -545,7 +567,7 @@ def test_scan_length_matches_the_reference_on_every_fingerprint(n, k_a):
     # more than k_a positions, so sweeping holds without travelling.
     fps = np.arange(1 << 16, dtype=np.uint16)
     assert_scan_matches_reference(fps, n, k_a)
-    _, has_trav, has_sweep, _, _ = search._scan_length(fps, n, k_a)
+    _, has_trav, has_sweep, _, _, _ = search._scan_length(fps, n, k_a)
     assert (has_sweep & ~has_trav).any()
 
 
@@ -607,7 +629,7 @@ def test_scan_length_with_a_huge_k_a_equals_k_a_of_n():
 @pytest.mark.parametrize("n", [2, 6])
 def test_scan_length_of_no_fingerprints(n):
     got = search._scan_length(np.array([], dtype=np.uint16), n, 2)
-    assert [(g.dtype, g.shape) for g in got] == [(np.dtype(d), (0,)) for d in (bool, bool, bool, np.int64, np.int8)]
+    assert [(g.dtype, g.shape) for g in got] == [(np.dtype(d), (0,)) for d in (bool, bool, bool, np.int64, np.int8, np.int64)]
     assert_scan_matches_reference(np.array([], dtype=np.uint16), n, 2)
 
 
@@ -1020,14 +1042,14 @@ def test_hunt_drops_a_chunk_degenerate_at_the_first_probe(sweep_subset, monkeypa
     # Interesting candidates with no live or no dead state of length 4 fill
     # the first chunk, so lengths 5 and 6 are never built for it.
     tables = search._sweep_tables(search._sweep_slots(sweep_subset))
-    live = search._live_states(search._hunt_successors(tables.reshape(-1, 48), 4))
+    live = search._live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
     degenerate = search._interesting_tables(tables) & (live.all(axis=1) | ~live.any(axis=1))
     subset = [p for p, d in zip(sweep_subset, degenerate.tolist()) if d][:30] + [FIRST_SWEEP, SECOND_SWEEP]
     assert len(subset) == 32
     monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
     built = []
-    successors = search._hunt_successors
-    monkeypatch.setattr(search, "_hunt_successors", lambda t, n: built.append((len(t), n)) or successors(t, n))
+    successors = search._successor_map
+    monkeypatch.setattr(search, "_successor_map", lambda t, s, r, n: built.append((len(t), n)) or successors(t, s, r, n))
     result = hunt_viable_3state(ns=(4, 5), candidates=subset)
     assert built == [(30, 4), (2, 4), (2, 5), (2, 6)]
     assert result.candidates_interesting == 32 and result.candidates_nondegenerate == 2
@@ -1038,13 +1060,13 @@ def test_hunt_drops_tables_with_no_dead_state_at_the_first_probe(monkeypatch):
     # No sweep candidate is live in every state, but random symmetric tables
     # often are; such a chunk is dropped at length 4 as well.
     tables = np.stack([symmetric_table(v) for v in np.random.default_rng(5).integers(0, 3, size=(400, 30))])
-    live = search._live_states(search._hunt_successors(tables.reshape(-1, 48), 4))
+    live = search._live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
     all_live = tables[live.all(axis=1)][:30]
     assert len(all_live) == 30
     monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
     built = []
-    successors = search._hunt_successors
-    monkeypatch.setattr(search, "_hunt_successors", lambda t, n: built.append((len(t), n)) or successors(t, n))
+    successors = search._successor_map
+    monkeypatch.setattr(search, "_successor_map", lambda t, s, r, n: built.append((len(t), n)) or successors(t, s, r, n))
     assert not search._accretion_counts(all_live, (4, 5)).any()
     assert built == [(30, 4)]
 
@@ -1153,7 +1175,7 @@ drawn_tables = st.lists(st.integers(0, 2), min_size=48, max_size=48).map(
 @given(st.integers(2, 8), st.lists(drawn_tables, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_hunt_successors_match_the_scalar_interpreter(n, tables):
-    got = search._hunt_successors(np.stack(tables).reshape(len(tables), 48), n)
+    got = search._successor_map(np.stack(tables).reshape(len(tables), 48), 3, 1, n)
     assert got.shape == (len(tables), 3**n)
     for row, table in enumerate(tables):
         assert np.array_equal(got[row] - row * 3**n, reference_successors(table, n))

@@ -30,7 +30,9 @@ two-block reading of the de Bruijn window decomposition (Sutner 1991): each
 half of a filament is decided by a window r cells wider, its digits are
 looked up once per window, and the halves meet in one broadcast, with no
 (s**n, n) state matrix. The census (through ``successor_array``) and the
-three-state hunt call it; the two-state scan uses its windows and meet.
+three-state hunt call it; the two-state scan uses its windows and meet. The
+census and the hunt then share one pointer-jumping walk onto the cycles
+(``_onto_cycles``), and the census labels only the M cycle nodes it lands on.
 """
 
 from __future__ import annotations
@@ -394,9 +396,13 @@ def _successor_map(tables: np.ndarray, num_states: int, radius: int, n: int) -> 
 
     Returns (B, s**n) int64: [b, x] is b * s**n plus the id of the successor
     of state x under ``tables[b]``, laid out as ``Rule.lookup_table.ravel()``.
+    Ids past int64 raise ``ValueError`` before anything is built; below that, the
+    census ``budget``, the hunt's 3**13 cap and ``_MAX_TABLE_LENGTH`` bound memory.
     """
     if n < 1:
         raise ValueError("filaments need at least one cell")
+    if len(tables) * num_states**n > 2**63 - 1:
+        raise ValueError(f"{len(tables)} maps of {num_states}**{n} states overflow int64 ids")
     heads, tails = (
         num_states ** np.arange(len(keys) - 1, -1, -1, dtype=np.int64) @ tables[:, keys]
         for keys in _half_window_keys(num_states, radius, n)
@@ -412,26 +418,44 @@ def successor_array(rule: Rule, n: int) -> np.ndarray:
     return _successor_map(rule.lookup_table.reshape(1, -1), rule.num_states, rule.radius, n)[0]
 
 
+def _onto_cycles(flat: np.ndarray, size: int) -> np.ndarray:
+    """Where each node of one or more maps of ``size`` nodes, laid out flat as
+    ``_successor_map``'s, lands on its cycle: ceil(log2 size) rounds of
+    ``flat[flat]`` (pointer jumping, Wyllie 1979). The landings are the cycle nodes."""
+    for _ in range(max(size - 1, 0).bit_length()):
+        flat = flat.take(flat)
+    return flat
+
+
 def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transient length and eventual period for every node at once.
 
-    ``succ`` maps each of the N node ids to its unique successor. Pointer jumping
-    (Wyllie 1979), O(N log N): after ceil(log2 N) rounds of ``jump = jump[jump]`` the
-    image of ``jump`` is exactly the cycle nodes, a running minimum in those rounds labels
-    each cycle by its smallest node, and a second pass sums "off a cycle" into transients.
+    ``succ`` maps each of the N node ids to its successor; an id that is not an
+    integer in [0, N) raises ``ValueError``. Only the M cycle nodes ``_onto_cycles``
+    lands on, numbered 0..M-1 in node order, get a running-minimum label doubling,
+    which names each cycle by its smallest node and counts its period; a pass over
+    all nodes sums "off a cycle" into transients. O(N log N + M log M).
     """
+    succ = np.asarray(succ)
     total = len(succ)
-    rounds = max(total - 1, 0).bit_length()
-    jump = succ = np.asarray(succ, dtype=np.int64)
-    label = np.arange(total, dtype=np.int64)
-    for _ in range(rounds):
+    # A negative id reads as a huge one in the unsigned view, so one max checks both ends.
+    if total and (succ.dtype.kind not in "iu" or succ.view(f"u{succ.itemsize}").max() >= total):
+        raise ValueError(f"successor ids must be integers in [0, {total})")
+    succ = succ.astype(np.int64, copy=False)
+    landing = _onto_cycles(succ, total)
+    transient = np.ones(total, dtype=np.int64)  # 1 off a cycle, summed along walks below
+    transient[landing] = 0
+    cycle = np.flatnonzero(transient == 0)
+    label = np.arange(len(cycle))
+    period = np.zeros(total, dtype=np.int64)
+    period[cycle] = label  # each cycle node's number in node order, until periods replace it
+    jump = period[succ[cycle]]
+    for _ in range(max(len(cycle) - 1, 0).bit_length()):
         np.minimum(label, label[jump], out=label)
         jump = jump[jump]
-    transient = np.ones(total, dtype=np.int64)  # 1 off a cycle, summed along walks below
-    transient[jump] = 0
-    period = np.bincount(label[transient == 0], minlength=total)[label[jump]]
-    hop = succ
-    for _ in range(rounds):
-        transient += transient[hop]
-        hop = hop[hop]
+    period[cycle] = np.bincount(label)[label]
+    period = period[landing]
+    for _ in range(max(total - 1, 0).bit_length()):
+        transient += transient[succ]
+        succ = succ[succ]
     return transient, period

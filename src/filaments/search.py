@@ -36,11 +36,11 @@ The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
 columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
 
-The hunt builds its successor maps with ``engine._successor_map``, the
-half-window meet the census uses too; pointer doubling over the flat map
-then gives each state's liveness. Lengths go in ascending order, and a
-candidate with no live or no dead state at a probe length is dropped before
-the next length is built.
+The hunt builds its successor maps with ``engine._successor_map`` and walks
+them onto their cycles with ``engine._onto_cycles``, as the census does; a
+state is live when it lands off a fixed point. Lengths go in ascending order,
+and a candidate with no live or no dead state at a probe length is dropped
+before the next length is built.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from .core import ANY, EMPTY, Rule, RuleEntry
 from .analysis import count_accretions
-from .engine import _half_window_keys, _meet_halves, _successor_map
+from .engine import _half_window_keys, _meet_halves, _onto_cycles, _successor_map
 from .engine import all_states_matrix  # noqa: F401 -- the bench tracer wraps search.all_states_matrix
 
 __all__ = [
@@ -811,20 +811,6 @@ def _interesting_tables(tables: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
 
 
-def _live_states(succ: np.ndarray) -> np.ndarray:
-    """Per (row, state) liveness, eventual period >= 2, of a flat successor map: (B, S) bool.
-
-    ``succ[b, x]`` is b * S plus the successor of state x in row b, so one
-    1-D gather steps every row. ceil(log2 S) doubling rounds walk each state
-    S or more steps, onto its cycle."""
-    rows, size = succ.shape
-    flat = succ.ravel()
-    f = flat
-    for _ in range((size - 1).bit_length()):
-        f = f.take(f)
-    return (flat.take(f) != f).reshape(rows, size)
-
-
 def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
     """Accretion counts: [b, j, a, d] counts the (length-n state, appended cell)
     pairs at n = ns[j] whose state is live (a=0) or dead (a=1) and whose
@@ -841,7 +827,10 @@ def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
         alive = np.arange(start, min(start + rows, len(tables)))
         live = None
         for n in needed:
-            prev, live = live, _live_states(_successor_map(tables48[alive], 3, 1, n))
+            succ = _successor_map(tables48[alive], 3, 1, n).ravel()
+            landing = _onto_cycles(succ, 3**n)
+            prev, live = live, (succ.take(landing) != landing).reshape(-1, 3**n)
+            del succ, landing  # freed before the next length's map is built
             if n in ns:
                 mixed = live.any(axis=1) & ~live.all(axis=1)
                 alive, live = alive[mixed], live[mixed]
@@ -878,8 +867,9 @@ def hunt_viable_3state(
     ``budget`` and ``seed`` apply to that space only.
 
     Candidates run as arrays: one interesting mask over all tables, then,
-    per chunk of candidates, one successor map and one pointer-doubling
-    liveness pass per length, reduced to counts. Lengths go in ascending
+    per chunk of candidates, one successor map and one walk onto the cycles
+    (``engine._onto_cycles``, shared with the census) per length, reduced to
+    liveness counts. Lengths go in ascending
     order, and a candidate degenerate at a probe length is dropped before
     the next length, so longer lengths are built only for candidates still
     non-degenerate.

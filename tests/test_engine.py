@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from filaments import engine
 from filaments.core import ANY, EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
 from filaments.engine import (
     TrajectoryReport,
@@ -501,6 +502,21 @@ def test_successor_array_rejects_lengths_below_one(n):
         _successor_map(automaton_i().lookup_table.reshape(1, -1), 3, 1, n)
 
 
+def test_successor_map_rejects_ids_past_int64_before_building(monkeypatch):
+    # 3**40 ids overflow int64; the half-window tables alone would take 205 GiB.
+    def unbuilt(*args):
+        raise RuntimeError("a state matrix was built")
+
+    monkeypatch.setattr(engine, "all_states_matrix", unbuilt)
+    with pytest.raises(ValueError, match="overflow int64"):
+        successor_array(automaton_i(), 40)
+    tables = np.zeros((3, 48), dtype=np.uint8)
+    with pytest.raises(ValueError, match="overflow int64"):
+        _successor_map(tables, 3, 1, 39)  # 3 * 3**39 > 2**63 - 1
+    with pytest.raises(RuntimeError, match="state matrix"):
+        _successor_map(tables[:2], 3, 1, 39)  # 2 * 3**39 fits, so the build starts
+
+
 # Every (s, r) of the successor map's property test, with the lengths 1..7 whose
 # s**n states stay within 5 * 10**4; every n < 2r is among them.
 BUILDER_CASES = [(s, 1) for s in range(2, 6)] + [(s, 2) for s in range(2, 5)]
@@ -576,6 +592,10 @@ def test_classify_functional_graph_matches_walk(succ):
 def test_classify_functional_graph_extremes(size):
     assert_matches_walk([0] * size)  # a self-loop, alone at size 1, fed by all others
     assert_matches_walk([(i + 1) % size for i in range(size)])  # one cycle through all
+    # Every node on a cycle, so the label pass covers them all: a random
+    # permutation, and 2-cycles (with one self-loop at an odd size).
+    assert_matches_walk(np.random.default_rng(size).permutation(size).tolist())
+    assert_matches_walk([i ^ 1 if i ^ 1 < size else i for i in range(size)])
     # A path of length size-1 into a fixed point needs every doubling round.
     path = [min(i + 1, size - 1) for i in range(size)]
     transient, period = classify_functional_graph(np.array(path))
@@ -584,12 +604,25 @@ def test_classify_functional_graph_extremes(size):
     assert_matches_walk(path)
 
 
+@pytest.mark.parametrize("succ", [[-1, 0], [1.7, 0.2], [5, 0], [2, 0], [True, False]], ids=str)
+def test_classify_functional_graph_rejects_ids_outside_the_nodes(succ):
+    with pytest.raises(ValueError, match=r"integers in \[0, 2\)"):
+        classify_functional_graph(np.array(succ))
+
+
+def test_classify_functional_graph_of_no_nodes():
+    for empty in (np.array([], dtype=np.int64), np.array([])):
+        transient, period = classify_functional_graph(empty)
+        assert transient.tolist() == period.tolist() == []
+
+
 def test_classify_functional_graph_small_example():
     # 0->1->2->1 and 3->3: transients 1,0,0,0 and periods 2,2,2,1.
-    succ = np.array([1, 2, 1, 3])
-    transient, period = classify_functional_graph(succ)
-    assert transient.tolist() == [1, 0, 0, 0]
-    assert period.tolist() == [2, 2, 2, 1]
+    for dtype in (np.int64, np.uint8, np.int16):
+        transient, period = classify_functional_graph(np.array([1, 2, 1, 3], dtype=dtype))
+        assert transient.dtype == period.dtype == np.int64
+        assert transient.tolist() == [1, 0, 0, 0]
+        assert period.tolist() == [2, 2, 2, 1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used (a stdlib stand-in for pyflakes F401)."""
+"""Every module-level import in the package is used (a stdlib stand-in for pyflakes F401),
+and so is every module-level private definition."""
 
 import ast
 import importlib.util
@@ -68,6 +69,70 @@ def test_the_check_finds_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 3: osp", "line 4: Iterable"]
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments that no source references.
+
+    ``sources`` maps module names to source text. A name counts as referenced
+    when some source reads it, reads it as an attribute or imports it by name;
+    its own definition does not count. Dunder names are exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [
+                f"{module} line {node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    return unused
+
+
+def test_module_private_definitions_are_used():
+    assert unused_private_definitions({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_the_check_finds_an_unused_private_definition():
+    sources = {
+        "a.py": (
+            "import numpy as np\n"
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_A, (_B, _C) = 1, (2, 3)\n"
+            "_D: int = 4\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "class _Spare:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return np.zeros(_A) + _D\n"
+        ),
+        "b.py": "from .a import _C\nfrom . import a\n_E = a._B\n_used_by_c = 1\n",
+        "c.py": "from .b import _used_by_c as alias\n",
+    }
+    assert unused_private_definitions(sources) == [
+        "a.py line 6: _helper",
+        "a.py line 8: _Spare",
+        "b.py line 3: _E",
+    ]
 
 
 def test_every_attribute_the_bench_tracer_wraps_exists(monkeypatch):

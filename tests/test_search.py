@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from filaments import search
 from filaments.core import EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
-from filaments.engine import all_states_matrix, detect_cycle, run_trace
+from filaments.engine import _onto_cycles, all_states_matrix, detect_cycle, run_trace
 from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule
 from filaments.search import (
     RULE_SPACE_SIZE,
@@ -1042,7 +1042,7 @@ def test_hunt_drops_a_chunk_degenerate_at_the_first_probe(sweep_subset, monkeypa
     # Interesting candidates with no live or no dead state of length 4 fill
     # the first chunk, so lengths 5 and 6 are never built for it.
     tables = search._sweep_tables(search._sweep_slots(sweep_subset))
-    live = search._live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
+    live, _ = live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
     degenerate = search._interesting_tables(tables) & (live.all(axis=1) | ~live.any(axis=1))
     subset = [p for p, d in zip(sweep_subset, degenerate.tolist()) if d][:30] + [FIRST_SWEEP, SECOND_SWEEP]
     assert len(subset) == 32
@@ -1060,7 +1060,7 @@ def test_hunt_drops_tables_with_no_dead_state_at_the_first_probe(monkeypatch):
     # No sweep candidate is live in every state, but random symmetric tables
     # often are; such a chunk is dropped at length 4 as well.
     tables = np.stack([symmetric_table(v) for v in np.random.default_rng(5).integers(0, 3, size=(400, 30))])
-    live = search._live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
+    live, _ = live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
     all_live = tables[live.all(axis=1)][:30]
     assert len(all_live) == 30
     monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
@@ -1078,12 +1078,26 @@ def test_hunt_funnel_over_the_whole_sweep_space():
     assert funnel == (117_649, 78_192, 40_016, 578, 308)
 
 
-def reference_liveness(succ):
-    """Walk every state len(succ) steps onto its cycle; live unless that is a fixed point."""
+def reference_landing(succ):
+    """Walk every state len(succ) steps, onto its cycle."""
     state = np.arange(len(succ))
     for _ in range(len(succ)):
         state = succ[state]
+    return state
+
+
+def reference_liveness(succ):
+    """Live unless the state's cycle is a fixed point."""
+    state = reference_landing(succ)
     return succ[state] != state
+
+
+def live_states(flat_maps):
+    """Per (row, state) liveness of a (B, S) flat successor map, as the hunt
+    reads it off ``_onto_cycles``, and each state's landing node: two (B, S) arrays."""
+    succ = flat_maps.ravel()
+    landing = _onto_cycles(succ, flat_maps.shape[1])
+    return (succ.take(landing) != landing).reshape(flat_maps.shape), landing.reshape(flat_maps.shape)
 
 
 def assert_live_states_match_the_walk(succ, n):
@@ -1094,9 +1108,13 @@ def assert_live_states_match_the_walk(succ, n):
     perms = np.array(list(permutations(range(3))), dtype=np.uint8)
     powers = 3 ** np.arange(n - 1, -1, -1)
     maps = np.stack([perm[digits].T @ powers for perm in perms])
-    got = search._live_states(maps + 3**n * np.arange(len(perms))[:, None])
-    for row, want in zip(got, maps):
+    got, landing = live_states(maps + 3**n * np.arange(len(perms))[:, None])
+    for b, (row, want) in enumerate(zip(got, maps)):
         assert np.array_equal(row, reference_liveness(want))
+        # Each landing node stays in its own map and is one of its cycle nodes,
+        # the image of a walk of len(want) steps.
+        assert (landing[b] // 3**n == b).all()
+        assert np.isin(landing[b] % 3**n, reference_landing(want)).all()
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -37,12 +37,7 @@ from .population import (
     write_population_csv,
 )
 from .render import render_ascii, render_pgm
-from .rules import (
-    RuleParseError,
-    classify_rule,
-    rule_named,
-    serialize_rule,
-)
+from .rules import classify_rule, rule_named, serialize_rule
 from .search import hunt_viable_3state, rule_from_index, rule_index, search_type_a
 from .search import write_rule_audit_csv, write_witness_csv
 
@@ -384,10 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuleParseError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # UsageError and RuleParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

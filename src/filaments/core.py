@@ -14,6 +14,10 @@ unchanged, so tables only need to list state changes. A rule may be marked
 symmetric, in which case an entry also matches the mirror image of the
 neighborhood and sides effectively pair up unordered.
 
+A rule compiles once, on construction, to a dense lookup table; compiling
+is the conflict check. The scalar interpreter (``Rule.next_state``) stays
+as the oracle the table is tested against.
+
 Everything here is an immutable value, safe to share between workers.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -125,19 +129,8 @@ class Neighborhood:
         object.__setattr__(self, "right", tuple(self.right))
         if len(self.left) != self.radius or len(self.right) != self.radius:
             raise ValueError("each side must have exactly `radius` entries")
-        # Empty slots are contiguous and outermost on each side.
-        seen_real = False
-        for v in self.left:
-            if v is not EMPTY:
-                seen_real = True
-            elif seen_real:
-                raise ValueError(f"left side has an interior empty slot: {self.left}")
-        seen_empty = False
-        for v in self.right:
-            if v is EMPTY:
-                seen_empty = True
-            elif seen_empty:
-                raise ValueError(f"right side has an interior empty slot: {self.right}")
+        if not _empties_outermost(self.left, self.right):
+            raise ValueError(f"a side has an interior empty slot: {self.left}, {self.right}")
 
     def reflected(self) -> "Neighborhood":
         """The mirror image of this neighborhood (left and right swapped)."""
@@ -146,6 +139,12 @@ class Neighborhood:
             left=tuple(reversed(self.right)),
             right=tuple(reversed(self.left)),
         )
+
+
+def _empties_outermost(left: tuple, right: tuple) -> bool:
+    """Whether EMPTY holds only the outermost slots of each side: a prefix of
+    ``left`` (outermost first) and a suffix of ``right`` (innermost first)."""
+    return EMPTY not in left[left.count(EMPTY) :] + right[: len(right) - right.count(EMPTY)]
 
 
 def neighborhood_of(filament: Filament, index: int, radius: int) -> Neighborhood:
@@ -201,15 +200,25 @@ class RuleEntry:
 
 
 def _admissible_sides(num_states: int, radius: int, side: str) -> list[tuple[MaybeState, ...]]:
-    """All concrete side tuples: empty slots contiguous and outermost."""
+    """All concrete side tuples: empty slots contiguous and outermost, so a
+    prefix of a left side (outermost first) and a suffix of a right one."""
     sides: list[tuple[MaybeState, ...]] = []
     for k in range(radius + 1):  # number of real neighbors on this side
         for combo in itertools.product(range(num_states), repeat=k):
-            if side == "left":  # outermost first: empties form a prefix
-                sides.append((EMPTY,) * (radius - k) + combo)
-            else:  # innermost first: empties form a suffix
-                sides.append(combo + (EMPTY,) * (radius - k))
+            empties = (EMPTY,) * (radius - k)
+            sides.append(empties + combo if side == "left" else combo + empties)
     return sides
+
+
+@cache
+def _admissible_cells(num_states: int, radius: int) -> np.ndarray:
+    """Read-only mask of the cells of ``Rule.lookup_table``'s neighbor axes that a
+    filament can present; the right side's mask is the left's, axes reversed."""
+    empty = np.indices((num_states + 1,) * radius) == num_states
+    left = (empty[:-1] >= empty[1:]).all(axis=0)
+    mask = np.logical_and.outer(left, left.transpose())
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -217,8 +226,9 @@ class Rule:
     """A complete transition table for one automaton.
 
     Entries only list state changes; any (current, neighborhood) matched by
-    no entry holds the current state. Construction rejects tables where two
-    entries disagree on a concrete input.
+    no entry holds the current state. Construction compiles the dense
+    ``lookup_table``, which rejects tables where two entries disagree on a
+    concrete input.
     """
 
     name: str
@@ -244,7 +254,7 @@ class Rule:
             )
         if validate:
             self._check_tokens()
-            self._check_conflicts()
+            self.lookup_table  # compiling the table is the conflict check
 
     # -- validation ---------------------------------------------------------
 
@@ -262,17 +272,6 @@ class Rule:
                 if not isinstance(tok, int) or not 0 <= tok < self.num_states:
                     raise ValueError(f"bad pattern token {tok!r} in entry: {e}")
 
-    def _check_conflicts(self) -> None:
-        for current in range(self.num_states):
-            for nbhd in self.admissible_neighborhoods():
-                hits = [e for e in self.entries if e.matches(current, nbhd, self.symmetric)]
-                nexts = {e.next_state for e in hits}
-                if len(nexts) > 1:
-                    raise RuleConflictError(
-                        f"rule {self.name!r}: entries disagree on current={current}, "
-                        f"left={nbhd.left}, right={nbhd.right}: {hits}"
-                    )
-
     # -- matching -----------------------------------------------------------
 
     def admissible_neighborhoods(self) -> Iterator[Neighborhood]:
@@ -283,39 +282,24 @@ class Rule:
             for right in rights:
                 yield Neighborhood(self.radius, left, right)
 
-    def matching_entries(self, current: int, nbhd: Neighborhood) -> list[RuleEntry]:
-        return [e for e in self.entries if e.matches(current, nbhd, self.symmetric)]
-
     def next_state(self, current: int, nbhd: Neighborhood) -> int:
         """Next state of a cell, falling back to the current state on no match."""
         if not 0 <= current < self.num_states:
             raise ValueError(f"current state {current} out of range for rule {self.name!r}")
-        hits = self.matching_entries(current, nbhd)
-        if not hits:
-            return current
+        hits = [e for e in self.entries if e.matches(current, nbhd, self.symmetric)]
         nexts = {e.next_state for e in hits}
         if len(nexts) > 1:
             raise RuleConflictError(
-                f"rule {self.name!r}: ambiguous match for current={current}, {nbhd}"
+                f"rule {self.name!r}: entries disagree on current={current}, "
+                f"left={nbhd.left}, right={nbhd.right}: {hits}"
             )
-        return nexts.pop()
-
-    def successors(self, state: int) -> frozenset[int]:
-        """All states reachable from ``state`` across admissible inputs."""
-        return frozenset(
-            self.next_state(state, nbhd) for nbhd in self.admissible_neighborhoods()
-        )
+        return nexts.pop() if nexts else current
 
     # -- compiled form ------------------------------------------------------
 
-    @property
-    def empty_code(self) -> int:
-        """Integer code standing in for EMPTY in the dense lookup table."""
-        return self.num_states
-
     @cached_property
     def lookup_table(self) -> np.ndarray:
-        """Dense next-state table indexed by integer codes.
+        """Dense next-state table indexed by integer codes, compiled from the entries.
 
         Axes are ``[current, left outermost..innermost, right innermost..
         outermost]`` with every neighbor axis of size ``num_states + 1``;
@@ -323,19 +307,33 @@ class Rule:
         combinations (an empty slot inside a side) hold the current state
         and are never consulted by the evolution code. The table is
         read-only: ``lookup_image`` caches a copy of it.
+
+        Each entry, and its mirror for a symmetric rule, writes the block its
+        tokens select: a literal its own code, ``ANY`` codes ``0..s-1`` and
+        ``EMPTY`` code ``s``. An entry with an interior EMPTY token matches no
+        admissible input and is skipped. A block that gives a cell a different
+        next state from an earlier write raises ``RuleConflictError``.
         """
-        s = self.num_states
-        r = self.radius
+        s, r = self.num_states, self.radius
         shape = (s,) + (s + 1,) * (2 * r)
-        table = np.empty(shape, dtype=np.uint8)
-        for current in range(s):
-            view = table[current]
-            view[...] = current
-        for current in range(s):
-            for nbhd in self.admissible_neighborhoods():
-                left_idx = tuple(s if v is EMPTY else v for v in nbhd.left)
-                right_idx = tuple(s if v is EMPTY else v for v in nbhd.right)
-                table[(current,) + left_idx + right_idx] = self.next_state(current, nbhd)
+        table = np.broadcast_to(np.arange(s, dtype=np.uint8).reshape((s,) + (1,) * (2 * r)), shape).copy()
+        written = np.zeros(shape, dtype=bool)
+        codes = {EMPTY: slice(s, s + 1), ANY: slice(0, s)}
+        for e in self.entries:
+            if not _empties_outermost(e.left, e.right):
+                continue
+            sides = [e.left + e.right]
+            if self.symmetric:  # the mirror reads the right side as its left
+                sides.append(e.right[::-1] + e.left[::-1])
+            for tokens in sides:
+                block = (e.current, *(codes[t] if t in codes else slice(t, t + 1) for t in tokens))
+                clash = written[block] & (table[block] != e.next_state)
+                if clash.any():  # the interpreter raises on the first clashing cell, naming its entries
+                    cell = [sl.start + i for sl, i in zip(block[1:], np.argwhere(clash)[0].tolist())]
+                    left, right = (tuple(EMPTY if c == s else c for c in side) for side in (cell[:r], cell[r:]))
+                    self.next_state(e.current, Neighborhood(r, left, right))
+                table[block] = e.next_state
+                written[block] = True
         table.flags.writeable = False
         return table
 

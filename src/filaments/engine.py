@@ -37,6 +37,7 @@ census and the hunt then share one pointer-jumping walk onto the cycles
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
@@ -183,35 +184,48 @@ def step_array(rule: Rule, states: np.ndarray) -> np.ndarray:
     return kernel.step().T
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A run of consecutive configurations, oldest first."""
+@dataclass(frozen=True, eq=False)
+class Trace(abc.Sequence):
+    """A run of consecutive configurations, oldest first.
+
+    ``rows`` holds them packed, one read-only uint8 row per configuration.
+    ``states``, iteration and indexing build a ``Filament`` only for the rows
+    they read; traces compare and hash by rule name and row values.
+    """
 
     rule_name: str
-    states: tuple[Filament, ...]
+    rows: np.ndarray
+
+    @property
+    def states(self) -> tuple[Filament, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
+        return len(self.rows)
 
     def __getitem__(self, index):
-        return self.states[index]
+        rows = self.rows[index].tolist()
+        return tuple(map(Filament, rows)) if isinstance(index, slice) else Filament(rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trace) and self.rule_name == other.rule_name and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rule_name, self.rows.tobytes()))
 
 
 def run_trace(rule: Rule, initial: Filament, steps: int) -> Trace:
     """Evolve ``initial`` for ``steps`` updates, keeping every configuration."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    cells = _uint8_cells(initial.cells, rule.num_states)
-    kernel = _Kernel(rule, 1, len(cells))
-    kernel.cells[:, 0] = cells
-    states = [initial]
-    for _ in range(steps):
-        kernel.cells[...] = nxt = kernel.step()
-        states.append(Filament(nxt.ravel().tolist()))
-    return Trace(rule.name, tuple(states))
+    rows = np.empty((steps + 1, len(initial)), dtype=np.uint8)
+    rows[0] = _uint8_cells(initial.cells, rule.num_states)
+    kernel = _Kernel(rule, 1, rows.shape[1])
+    for prev, row in zip(rows, rows[1:]):
+        kernel.cells[:, 0] = prev
+        row[:] = kernel.step()[:, 0]
+    rows.flags.writeable = False
+    return Trace(rule.name, rows)
 
 
 def hamming(a: Filament, b: Filament) -> int:

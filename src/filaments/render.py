@@ -23,7 +23,7 @@ TraceLike = Union[Trace, Sequence[Filament], np.ndarray]
 
 def _states_matrix(states: TraceLike) -> np.ndarray:
     if isinstance(states, Trace):
-        rows = [f.cells for f in states.states]
+        rows = states.rows
     elif isinstance(states, np.ndarray):
         if states.ndim != 2:
             raise ValueError("state array must be two-dimensional")

@@ -20,7 +20,9 @@ The catalogue holds five families of hand-built rules:
 worth simulating from degenerate ones: a rule is *oblivious* when some
 state has the same successor under every admissible input, and
 *interesting* when its state digraph is strongly connected with minimum
-out-degree above one.
+out-degree above one. It reads them from the compiled table through
+``state_graphs``, which the three-state hunt calls on a whole batch of
+tables.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .core import (
     ANY,
     EMPTY,
@@ -36,6 +40,7 @@ from .core import (
     Rule,
     RuleConflictError,
     RuleEntry,
+    _admissible_cells,
 )
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "parse_rule",
     "rule_named",
     "serialize_rule",
+    "state_graphs",
 ]
 
 
@@ -270,38 +276,33 @@ class RuleClassification:
 
 
 def classify_rule(rule: Rule) -> RuleClassification:
-    """Classify a rule by exhaustive enumeration of admissible inputs."""
-    succ = {c: rule.successors(c) for c in range(rule.num_states)}
-    oblivious_witness = next((c for c in range(rule.num_states) if len(succ[c]) == 1), None)
+    """Classify a rule from the admissible cells of its lookup table."""
+    out_degree, connected = state_graphs(rule.lookup_table[None])
+    degree = out_degree[0].tolist()
+    oblivious_witness = next((c for c, d in enumerate(degree) if d == 1), None)
     return RuleClassification(
         oblivious=oblivious_witness is not None,
         oblivious_witness=oblivious_witness,
-        strongly_connected=_strongly_connected(succ, rule.num_states),
-        min_out_degree=min(len(s) for s in succ.values()),
+        strongly_connected=bool(connected[0]),
+        min_out_degree=min(degree),
     )
 
 
-def _strongly_connected(succ: dict[int, frozenset[int]], num_states: int) -> bool:
-    if num_states == 1:
-        return True
+def state_graphs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-degrees ``(B, s)`` and strong connectivity ``(B,)`` of the state graphs
+    of ``B`` compiled ``(B, s, s + 1, ...)`` tables, read from admissible cells only.
 
-    def reachable(start: int, edges: dict[int, frozenset[int]]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in edges[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    if len(reachable(0, succ)) != num_states:
-        return False
-    reverse: dict[int, frozenset[int]] = {
-        c: frozenset(a for a in range(num_states) if c in succ[a]) for c in range(num_states)
-    }
-    return len(reachable(0, reverse)) == num_states
+    Reachability closes by squaring the reversed adjacency matrices, self-loops
+    added; a graph is strongly connected exactly when its reverse is.
+    """
+    num_states = tables.shape[1]
+    cells = tables[:, :, _admissible_cells(num_states, (tables.ndim - 2) // 2)]
+    # into[d, b, c]: some admissible cell of table b takes state c to state d.
+    into = np.array([(cells == d).any(axis=2) for d in range(num_states)])
+    reach = into.transpose(1, 0, 2) | np.eye(num_states, dtype=bool)
+    for _ in range((num_states - 2).bit_length()):  # paths of 2**k >= s - 1 steps
+        reach = reach @ reach
+    return into.sum(axis=0), reach.all(axis=(1, 2))
 
 
 # -- textual format -------------------------------------------------------------

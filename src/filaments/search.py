@@ -60,6 +60,7 @@ from .core import ANY, EMPTY, Rule, RuleEntry
 from .analysis import count_accretions
 from .engine import _half_window_keys, _meet_halves, _onto_cycles, _successor_map
 from .engine import all_states_matrix  # noqa: F401 -- the bench tracer wraps search.all_states_matrix
+from .rules import state_graphs
 
 __all__ = [
     "HuntCandidate",
@@ -801,16 +802,6 @@ _MAX_HUNT_LENGTH = 13
 _HUNT_CHUNK_STATES = 1 << 16
 
 
-def _interesting_tables(tables: np.ndarray) -> np.ndarray:
-    """Mask of the (B, 3, 4, 4) tables whose state graph has min out-degree
-    two and is strongly connected."""
-    # Bit d of succ[b, c]: some neighborhood takes state c to state d.
-    succ = np.bitwise_or.reduce(1 << tables.reshape(len(tables), 3, 16), axis=2)
-    step = (succ[..., None] >> np.arange(3, dtype=np.uint8) & 1).astype(bool)
-    # With two successors per state, two steps reach whatever three states can reach.
-    return (np.bitwise_count(succ) >= 2).all(axis=1) & (step | step @ step).all(axis=(1, 2))
-
-
 def _accretion_counts(tables: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
     """Accretion counts: [b, j, a, d] counts the (length-n state, appended cell)
     pairs at n = ns[j] whose state is live (a=0) or dead (a=1) and whose
@@ -866,7 +857,8 @@ def hunt_viable_3state(
     space, which is far too large to enumerate, with ``seed`` (default 0);
     ``budget`` and ``seed`` apply to that space only.
 
-    Candidates run as arrays: one interesting mask over all tables, then,
+    Candidates run as arrays: one interesting mask over all tables
+    (``rules.state_graphs``, as ``classify_rule`` reads it), then,
     per chunk of candidates, one successor map and one walk onto the cycles
     (``engine._onto_cycles``, shared with the census) per length, reduced to
     liveness counts. Lengths go in ascending
@@ -904,7 +896,8 @@ def hunt_viable_3state(
     else:
         raise ValueError(f"unknown space {space!r}")
 
-    interesting = np.flatnonzero(_interesting_tables(tables))
+    out_degree, connected = state_graphs(tables)
+    interesting = np.flatnonzero((out_degree > 1).all(axis=1) & connected)
     counts = _accretion_counts(tables[interesting], ns)
     row_sums = counts.sum(axis=3)
     nondegenerate = (row_sums > 0).all(axis=(1, 2))

@@ -270,6 +270,17 @@ def test_rule_info_and_index(capsys):
     assert "index:" not in out  # indexing only covers two-state radius-1 rules
 
 
+def test_rule_info_names_the_conflicting_entries(capsys, tmp_path):
+    path = tmp_path / "clash.rule"
+    path.write_text("states 2\nradius 1\nsymmetric false\n\n0 | 1 * -> 1\n0 | * 1 -> 0\n")
+    assert main(["rule-info", "--rule", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: conflicting entries: rule 'clash': entries disagree on current=0, left=(1,), right=(1,): "
+        "[RuleEntry(current=0, left=(1,), right=('*',), next_state=1), "
+        "RuleEntry(current=0, left=('*',), right=(1,), next_state=0)]\n"
+    )
+
+
 def test_rule_fmt_round_trip(capsys, tmp_path):
     path = tmp_path / "aii.rule"
     path.write_text(serialize_rule(automaton_ii()))

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filaments.core import (
@@ -142,6 +142,40 @@ def test_hold_by_default():
     for c in range(3):
         for nb in rule.admissible_neighborhoods():
             assert rule.next_state(c, nb) == c
+
+
+@st.composite
+def unchecked_rules(draw):
+    """Rules of 2..4 states at radius 1 or 2, built unchecked from random entries."""
+    s, r = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    token = st.sampled_from([ANY, EMPTY, *range(s)])
+    side = st.tuples(*[token] * r)
+    entry = st.builds(RuleEntry, st.integers(0, s - 1), side, side, st.integers(0, s - 1))
+    entries = draw(st.lists(entry, max_size=6))
+    return Rule("drawn", s, r, draw(st.booleans()), tuple(entries), validate=False)
+
+
+@given(unchecked_rules())
+@settings(max_examples=60, deadline=None)
+def test_compiled_table_is_the_interpreter_and_its_conflict_check(unchecked):
+    s, r = unchecked.num_states, unchecked.radius
+    inputs = [(c, nb) for c in range(s) for nb in unchecked.admissible_neighborhoods()]
+    ambiguous = any(
+        len({e.next_state for e in unchecked.entries if e.matches(c, nb, unchecked.symmetric)}) > 1 for c, nb in inputs
+    )
+    try:
+        rule = Rule(unchecked.name, s, r, unchecked.symmetric, unchecked.entries)
+    except RuleConflictError as exc:
+        assert ambiguous and "entries disagree on current=" in str(exc)
+        return
+    assert not ambiguous
+    table = rule.lookup_table
+    keys = [(c,) + tuple(s if v is EMPTY else v for v in nb.left + nb.right) for c, nb in inputs]
+    assert [table[key] for key in keys] == [rule.next_state(c, nb) for c, nb in inputs]
+    # Every slot no filament can present holds the current state.
+    held = np.ones(table.shape, dtype=bool)
+    held[tuple(np.transpose(keys))] = False
+    assert (table[held] == np.indices(table.shape)[0][held]).all()
 
 
 def test_rule_conflict_detection():

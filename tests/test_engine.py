@@ -203,6 +203,24 @@ def test_run_trace_records_every_state():
         run_trace(rule, Filament.from_string("000"), -1)
 
 
+def test_trace_holds_its_rows_packed_and_compares_by_value():
+    rule = automaton_ii()
+    start = Filament.from_string("0000001")
+    trace = run_trace(rule, start, 6)
+    assert trace.rows.shape == (7, 7) and trace.rows.dtype == np.uint8
+    assert not trace.rows.flags.writeable
+    states = [start]
+    for _ in range(6):
+        states.append(step(rule, states[-1]))
+    assert trace.states == tuple(states) == tuple(trace) == trace[:]
+    assert trace[-1] == states[-1] and trace[2:4] == tuple(states[2:4])
+    again = run_trace(rule, start, 6)
+    assert again == trace and hash(again) == hash(trace)
+    assert run_trace(rule, start, 5) != trace
+    assert run_trace(automaton_i(), start, 6) != trace  # another rule, other rows
+    assert engine.Trace("other", trace.rows) != trace  # same rows, another name
+
+
 def test_hamming_and_count_steps():
     a = Filament.from_string("0120")
     b = Filament.from_string("0210")

@@ -1,8 +1,10 @@
 """Every module-level import in the package is used (a stdlib stand-in for pyflakes F401),
-and so is every module-level private definition."""
+and so is every module-level private definition and every method and property."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -133,6 +135,78 @@ def test_the_check_finds_an_unused_private_definition():
         "a.py line 8: _Spare",
         "b.py line 3: _E",
     ]
+
+
+def attributes_read(sources) -> set[str]:
+    """Every name some source reads as an attribute (``x.name`` in a load)."""
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_members(module, read: set[str]) -> list[str]:
+    """Methods and properties of ``module``'s classes whose names are not in ``read``.
+
+    Dunders are exempt, and so is a member that overrides one of a base class
+    (``cli._Parser.error``): the base class's own code reads it.
+    """
+    unread = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = getattr(module, node.name).__mro__[1:]
+        for member in node.body:
+            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = member.name
+            if name.startswith("__") and name.endswith("__") or name in read:
+                continue
+            if not any(name in vars(base) for base in bases):
+                unread.append(f"{module.__name__}.{node.name}.{name} line {member.lineno}")
+    return unread
+
+
+def test_every_method_and_property_is_read():
+    readers = [p.read_text() for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    read = attributes_read(readers)
+    modules = [importlib.import_module(f"filaments.{p.stem}".removesuffix(".__init__")) for p in MODULES]
+    assert [found for module in modules for found in unread_members(module, read)] == []
+
+
+def test_the_check_finds_an_unread_method(tmp_path):
+    path = tmp_path / "members.py"
+    path.write_text(
+        "import argparse\n"
+        "from functools import cached_property\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        raise ValueError(message)\n"
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def spare(self):\n"
+        "        return 2\n"
+        "    @cached_property\n"
+        "    def table(self):\n"
+        "        return 3\n"
+        "    @staticmethod\n"
+        "    def stored(x):\n"
+        "        return x\n"
+    )
+    spec = importlib.util.spec_from_file_location("members", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Only a load reads: assigning ``b.stored`` does not.
+    read = attributes_read([path.read_text(), "b.used()\nprint(b.table)\nb.stored = None\n"])
+    assert unread_members(module, read) == ["members.Box.spare line 14", "members.Box.stored line 20"]
 
 
 def test_every_attribute_the_bench_tracer_wraps_exists(monkeypatch):

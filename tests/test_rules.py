@@ -3,14 +3,16 @@
 import glob
 import os
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filaments.core import ANY, EMPTY, Filament, Rule, RuleEntry
 from filaments.engine import detect_cycle, step
 from filaments.rules import (
     CATALOGUE,
+    RuleClassification,
     RuleParseError,
     automaton_i,
     automaton_ii,
@@ -24,6 +26,7 @@ from filaments.rules import (
     rule_named,
     serialize_rule,
 )
+from filaments.search import rule_from_index
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "filaments", "data")
 
@@ -65,6 +68,77 @@ def test_sweep_automata_are_interesting():
         cls = classify_rule(rule)
         assert cls.interesting
         assert not cls.oblivious
+
+
+def strongly_connected(succ: dict[int, set[int]], num_states: int) -> bool:
+    """Depth-first reference: state 0 reaches every state, and every state reaches 0."""
+
+    def reachable(start: int, edges: dict[int, set[int]]) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in edges[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    reverse = {c: {a for a in range(num_states) if c in succ[a]} for c in range(num_states)}
+    return len(reachable(0, succ)) == len(reachable(0, reverse)) == num_states
+
+
+def reference_classification(rule: Rule) -> RuleClassification:
+    """The classification read off ``Rule.next_state`` over every admissible input."""
+    s = rule.num_states
+    succ = {c: {rule.next_state(c, nb) for nb in rule.admissible_neighborhoods()} for c in range(s)}
+    witness = next((c for c in range(s) if len(succ[c]) == 1), None)
+    return RuleClassification(
+        oblivious=witness is not None,
+        oblivious_witness=witness,
+        strongly_connected=strongly_connected(succ, s),
+        min_out_degree=min(len(v) for v in succ.values()),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(CATALOGUE) + [f"clock-{s}" for s in range(2, 7)] + [f"rule-{i}" for i in (0, 186, 4039, 54378)]
+)
+def test_classify_rule_matches_the_depth_first_reference(name):
+    rule = rule_from_index(int(name[5:])) if name.startswith("rule-") else rule_named(name)
+    assert classify_rule(rule) == reference_classification(rule)
+
+
+@st.composite
+def valid_rules(draw):
+    """Rules of 2 or 3 states at radius 1 or 2 whose next states come from one
+    to three drawn targets per state, so that out-degree one and disconnected
+    graphs come up often. A state is either covered by wildcard entries, one
+    per pair of side shapes, so that it holds only if a target says so, or
+    gets concrete entries for some of up to 48 drawn inputs."""
+    s, r = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = [rng.choice(s, size=rng.integers(1, 4)) for _ in range(s)]
+    covered = (rng.random(s) < 0.5).tolist()
+    shapes = [(EMPTY,) * (r - k) + (ANY,) * k for k in range(r + 1)]  # left sides; a right side is one reversed
+    entries = [
+        RuleEntry(c, left, right[::-1], int(rng.choice(targets[c])))
+        for c in range(s)
+        if covered[c]
+        for left in shapes
+        for right in shapes
+    ]
+    hold = Rule("hold", s, r, symmetric=False, entries=())
+    inputs = [(c, nb) for c in range(s) for nb in hold.admissible_neighborhoods() if not covered[c]]
+    for i in rng.permutation(len(inputs))[: draw(st.integers(0, 48))]:
+        c, nb = inputs[i]
+        entries.append(RuleEntry(c, nb.left, nb.right, int(rng.choice(targets[c]))))
+    return Rule("drawn", s, r, symmetric=False, entries=tuple(entries))
+
+
+@given(valid_rules())
+@settings(max_examples=60, deadline=None)
+def test_classify_rule_matches_the_depth_first_reference_on_drawn_rules(rule):
+    assert classify_rule(rule) == reference_classification(rule)
 
 
 def test_bouncer_is_interesting_and_core_is_not_complete():

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from filaments import search
 from filaments.core import EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
 from filaments.engine import _onto_cycles, all_states_matrix, detect_cycle, run_trace
-from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule
+from filaments.rules import automaton_i, automaton_ii, classify_rule, clock_rule, oblivious_example_rule, state_graphs
 from filaments.search import (
+    RULE_SPACE_BITS,
     RULE_SPACE_SIZE,
     SearchWitness,
     SweepParams,
@@ -102,15 +103,36 @@ def test_fingerprint_groups_act_identically_on_real_filaments():
             assert len(traces) == 1
 
 
-def test_audit_csv_covers_the_whole_space():
+@pytest.fixture(scope="module")
+def audit_text():
     buf = io.StringIO()
     write_rule_audit_csv(buf)
-    lines = buf.getvalue().splitlines()
+    return buf.getvalue()
+
+
+def test_audit_csv_covers_the_whole_space(audit_text):
+    lines = audit_text.splitlines()
     assert lines[0] == "index,row0,row1,oblivious,strongly_connected,min_out_degree,interesting,fingerprint"
     assert len(lines) == RULE_SPACE_SIZE + 1
     assert lines[1] == "0,0,0,1,0,1,0,0"
     # The oblivious example: oblivious, strongly connected, not interesting.
     assert lines[187] == "186,186,0,1,1,1,0,186"
+
+
+def test_interesting_mask_and_audit_columns_match_the_state_graphs(audit_text):
+    # Every index as its (2, 3, 3) table: bit c*9 + l*3 + r is the flat key.
+    indices = np.arange(RULE_SPACE_SIZE, dtype=np.uint32)
+    tables = (indices[:, None] >> np.arange(RULE_SPACE_BITS, dtype=np.uint32) & 1).astype(np.uint8)
+    out_degree, connected = state_graphs(tables.reshape(-1, 2, 3, 3))
+    min_degree = out_degree.min(axis=1)
+    interesting = (min_degree > 1) & connected
+    assert np.array_equal(interesting_mask(), interesting)
+    audit = np.loadtxt(io.StringIO(audit_text), dtype=np.int64, delimiter=",", skiprows=1)
+    oblivious, strongly_connected, min_out_degree, interesting_column = audit[:, 3:7].T
+    assert np.array_equal(strongly_connected, connected)
+    assert np.array_equal(min_out_degree, min_degree)
+    assert np.array_equal(oblivious, min_degree == 1)
+    assert np.array_equal(interesting_column, interesting)
 
 
 # -- the scan ---------------------------------------------------------------------
@@ -1043,7 +1065,9 @@ def test_hunt_drops_a_chunk_degenerate_at_the_first_probe(sweep_subset, monkeypa
     # the first chunk, so lengths 5 and 6 are never built for it.
     tables = search._sweep_tables(search._sweep_slots(sweep_subset))
     live, _ = live_states(search._successor_map(tables.reshape(-1, 48), 3, 1, 4))
-    degenerate = search._interesting_tables(tables) & (live.all(axis=1) | ~live.any(axis=1))
+    out_degree, connected = state_graphs(tables)
+    interesting = (out_degree > 1).all(axis=1) & connected
+    degenerate = interesting & (live.all(axis=1) | ~live.any(axis=1))
     subset = [p for p, d in zip(sweep_subset, degenerate.tolist()) if d][:30] + [FIRST_SWEEP, SECOND_SWEEP]
     assert len(subset) == 32
     monkeypatch.setattr(search, "_HUNT_CHUNK_STATES", 30 * 3**6)
@@ -1162,7 +1186,8 @@ def symmetric_table(values):
 def test_interesting_mask_matches_the_scalar_predicate(draws):
     tables = np.stack([symmetric_table(values) for values in draws])
     want = [reference_table_interesting(t) for t in tables]
-    assert search._interesting_tables(tables).tolist() == want
+    out_degree, connected = state_graphs(tables)
+    assert ((out_degree > 1).all(axis=1) & connected).tolist() == want
 
 
 def reference_successors(table, n):

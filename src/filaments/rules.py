@@ -41,6 +41,7 @@ from .core import (
     RuleConflictError,
     RuleEntry,
     _admissible_cells,
+    _empties_outermost,
 )
 
 __all__ = [
@@ -354,7 +355,8 @@ def parse_rule(text: str, name: str = "parsed") -> Rule:
     """Parse the textual rule format; see serialize_rule for the layout.
 
     Raises RuleParseError with a line number on malformed input, out of
-    range states, or entries that contradict each other.
+    range states, an E token inside a side (such an entry could match no
+    input), or entries that contradict each other.
     """
     headers: dict[str, str] = {}
     header_order = ["states", "radius", "symmetric"]
@@ -408,6 +410,8 @@ def parse_rule(text: str, name: str = "parsed") -> Rule:
         parsed = [_parse_token(t, num_states, lineno) for t in tokens]
         left = tuple(parsed[:radius])
         right = tuple(reversed(parsed[radius:]))
+        if not _empties_outermost(left, right):
+            raise RuleParseError(f"line {lineno}: E tokens must be the outermost of each side")
         entries.append(RuleEntry(current, left, right, next_state))
     try:
         return Rule(name, num_states, radius, symmetric, tuple(entries))

@@ -40,7 +40,11 @@ The hunt builds its successor maps with ``engine._successor_map`` and walks
 them onto their cycles with ``engine._onto_cycles``, as the census does; a
 state is live when it lands off a fixed point. Lengths go in ascending order,
 and a candidate with no live or no dead state at a probe length is dropped
-before the next length is built.
+before the next length is built. The sweep family is one table of its 343
+valid slot triples (``_SWEEP_TRIPLES``), each triple one shared tuple mapped
+to its slot codes: enumeration builds every ``SweepParams`` from those
+tuples, validation of a triple is one lookup in the table, and encoding to
+slot codes takes two.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from collections import abc
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -640,6 +644,18 @@ def search_type_a(
 # -- three-state sweep family hunt ----------------------------------------------
 
 
+# Slot code i of a bulk or end transition: None at 0, else the (v, w) or (u, z) pair i - 1.
+_SWEEP_SLOTS = (None,) + tuple(product(range(3), range(3)))
+
+# The 343 valid (state 0, state 1, state 2) slot triples, whose listed transitions change
+# the state, in enumeration order: each one shared tuple, mapped to its slot codes.
+_SWEEP_TRIPLES = {
+    tuple(_SWEEP_SLOTS[i] for i in codes): codes
+    for codes in product(*([i for i, s in enumerate(_SWEEP_SLOTS) if s is None or s[1] != c] for c in range(3)))
+}
+_TRIPLE_OF_CODES = dict(zip(_SWEEP_TRIPLES.values(), _SWEEP_TRIPLES))
+
+
 @dataclass(frozen=True, slots=True)
 class SweepParams:
     """A symmetric three-state rule built from sweep-style transitions.
@@ -648,12 +664,21 @@ class SweepParams:
     "(c, {*, v}) -> w" and ``end[c]`` of (u, z) adds the boundary
     transition "(c, {empty, u}) -> z"; None omits the transition. Both
     target states must differ from c. Everything unlisted holds.
+
+    A ``bulk`` or ``end`` equal to one of the shared slot triples of
+    ``_SWEEP_TRIPLES`` is valid at one lookup; any other goes through the
+    per-slot checks.
     """
 
     bulk: tuple[Optional[tuple[int, int]], ...]
     end: tuple[Optional[tuple[int, int]], ...]
 
     def __post_init__(self) -> None:
+        try:
+            if self.bulk in _SWEEP_TRIPLES and self.end in _SWEEP_TRIPLES:
+                return
+        except TypeError:  # an unhashable slot (a list) takes the checks below
+            pass
         if len(self.bulk) != 3 or len(self.end) != 3:
             raise ValueError("bulk and end must have one slot per state")
         for c in range(3):
@@ -668,48 +693,34 @@ class SweepParams:
 
 
 def enumerate_sweep_params() -> Iterator[SweepParams]:
-    """All 49**3 sweep parameter combinations."""
-    options = []
-    for c in range(3):
-        slots = [None] + [
-            (v, w) for v in range(3) for w in range(3) if w != c
-        ]
-        options.append(slots)
-    for b0, e0, b1, e1, b2, e2 in product(
-        options[0], options[0], options[1], options[1], options[2], options[2]
-    ):
-        yield SweepParams(bulk=(b0, b1, b2), end=(e0, e1, e2))
+    """All 49**3 sweep parameter combinations, made of the shared slot triples.
 
-
-# Slot i of a bulk or end transition: None at 0, else the (v, w) or (u, z) pair i - 1.
-_SWEEP_SLOTS = (None,) + tuple(product(range(3), range(3)))
+    The order is the product over (bulk[0], end[0], bulk[1], end[1], bulk[2],
+    end[2]); the triple of option k_c for each state c sits at 49*k0 + 7*k1 + k2.
+    """
+    triples = tuple(_SWEEP_TRIPLES)
+    for b0, e0, b1, e1 in product(range(0, 343, 49), range(0, 343, 49), range(0, 49, 7), range(0, 49, 7)):
+        for bulk, end in product(triples[b0 + b1 : b0 + b1 + 7], triples[e0 + e1 : e0 + e1 + 7]):
+            yield SweepParams(bulk=bulk, end=end)
 
 
 def _sweep_slots(params: Sequence[SweepParams]) -> np.ndarray:
-    """Slot indices (len(params), 2, 3): [p, 0, c] of bulk[c] and [p, 1, c] of end[c]."""
-    slot = {s: i for i, s in enumerate(_SWEEP_SLOTS)}
-    picks = np.fromiter((slot[s] for p in params for s in p.bulk + p.end), np.intp, 6 * len(params))
-    return picks.reshape(len(params), 2, 3)
+    """Slot codes (len(params), 2, 3): [p, 0, c] of bulk[c] and [p, 1, c] of end[c]."""
+    codes = chain.from_iterable(_SWEEP_TRIPLES[s] for p in params for s in (p.bulk, p.end))
+    return np.fromiter(codes, np.intp, 6 * len(params)).reshape(len(params), 2, 3)
 
 
 def _sweep_space_slots() -> np.ndarray:
-    """Slot indices of all 49**3 sweep parameter sets, in enumerate_sweep_params order.
-
-    The space is a product of six axes (bulk[0], end[0], bulk[1], end[1],
-    bulk[2], end[2]) of seven slots each: None and the six pairs whose
-    target differs from the state.
-    """
-    options = np.array(
-        [[0] + [_SWEEP_SLOTS.index((v, w)) for v in range(3) for w in range(3) if w != c] for c in range(3)],
-        dtype=np.uint8,
-    )
-    axes = np.indices((7,) * 6, dtype=np.uint8).reshape(3, 2, -1)
-    return options[np.arange(3)[:, None, None], axes].transpose(2, 1, 0)
+    """Slot codes of all 49**3 sweep parameter sets, in enumerate_sweep_params order."""
+    codes = np.array(list(_SWEEP_TRIPLES.values()), dtype=np.uint8)
+    triples = np.arange(len(codes)).reshape(7, 7, 7)
+    bulk, end = np.broadcast_arrays(triples[:, None, :, None, :, None], triples[None, :, None, :, None, :])
+    return np.stack([codes[bulk.ravel()], codes[end.ravel()]], axis=1)
 
 
 def _slot_params(picks: np.ndarray) -> SweepParams:
-    """The SweepParams of one (2, 3) row of slot indices."""
-    bulk, end = (tuple(_SWEEP_SLOTS[i] for i in row) for row in picks.tolist())
+    """The SweepParams of one (2, 3) row of slot codes, made of the shared slot triples."""
+    bulk, end = (_TRIPLE_OF_CODES[row] for row in map(tuple, picks.tolist()))
     return SweepParams(bulk=bulk, end=end)
 
 

@@ -281,6 +281,13 @@ def test_rule_info_names_the_conflicting_entries(capsys, tmp_path):
     )
 
 
+def test_rule_info_rejects_an_e_token_inside_a_side(capsys, tmp_path):
+    path = tmp_path / "inner-empty.rule"
+    path.write_text("states 3\nradius 2\nsymmetric false\n\n0 | 2 * 1 E -> 2\n")
+    assert main(["rule-info", "--rule", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 5: E tokens must be the outermost of each side\n"
+
+
 def test_rule_fmt_round_trip(capsys, tmp_path):
     path = tmp_path / "aii.rule"
     path.write_text(serialize_rule(automaton_ii()))

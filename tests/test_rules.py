@@ -241,6 +241,23 @@ def test_parse_rule_rejects_malformed_input(text):
         parse_rule(text)
 
 
+@pytest.mark.parametrize("pattern", ["2 * 1 E", "2 E 1 1", "* E * *"])
+def test_parse_rule_rejects_an_e_token_inside_a_side(pattern):
+    # Each side is written outermost first, so "1 E" on the right puts EMPTY
+    # next to the cell: the entry could match no input and would be dropped.
+    text = f"states 3\nradius 2\nsymmetric false\n\n0 | {pattern} -> 2\n"
+    with pytest.raises(RuleParseError) as err:
+        parse_rule(text)
+    assert str(err.value) == "line 5: E tokens must be the outermost of each side"
+
+
+def test_parse_rule_keeps_outermost_e_tokens():
+    text = "states 3\nradius 2\nsymmetric false\n\n0 | E 1 E 2 -> 2\n0 | E E * * -> 1\n"
+    rule = parse_rule(text)
+    assert rule.entries == (RuleEntry(0, (EMPTY, 1), (2, EMPTY), 2), RuleEntry(0, (EMPTY, EMPTY), (ANY, ANY), 1))
+    assert rule.lookup_table[0, 3, 1, 2, 3] == 2 and rule.lookup_table[0, 3, 3, 0, 0] == 1
+
+
 def test_parse_rule_rejects_conflicts():
     text = "states 2\nradius 1\nsymmetric false\n0 | 0 0 -> 1\n0 | * 0 -> 0\n"
     with pytest.raises(RuleParseError) as err:

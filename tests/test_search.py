@@ -4,7 +4,7 @@ import dataclasses
 import io
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -779,12 +779,60 @@ def test_sweep_param_enumeration_size():
 
 
 def test_sweep_params_validation():
-    with pytest.raises(ValueError):
-        SweepParams(bulk=((0, 0), None, None), end=(None, None, None))
-    with pytest.raises(ValueError):
-        SweepParams(bulk=((3, 1), None, None), end=(None, None, None))
-    with pytest.raises(ValueError):
-        SweepParams(bulk=(None, None), end=(None, None))
+    # Lists, NumPy ints and wrong lengths miss the table and take the explicit checks.
+    assert SweepParams(bulk=[(1, 2), None, None], end=(None, [0, 2], None)).bulk == [(1, 2), None, None]
+    assert SweepParams(bulk=((np.int64(1), np.int64(2)), None, None), end=(None,) * 3) == SweepParams(
+        bulk=((1, 2), None, None), end=(None,) * 3
+    )
+    cases = [
+        (((0, 0), None, None), (None,) * 3, "a listed transition must change the state"),
+        ((None, (np.int64(0), np.int64(1)), None), (None,) * 3, "a listed transition must change the state"),
+        ([None, None, [2, 2]], (None,) * 3, "a listed transition must change the state"),
+        (((3, 1), None, None), (None,) * 3, "transition states must be in 0..2"),
+        ((None,) * 3, (None, (0, -1), None), "transition states must be in 0..2"),
+        ((None, None), (None, None), "bulk and end must have one slot per state"),
+        ((None,) * 3, (None,) * 4, "bulk and end must have one slot per state"),
+        ([None, None], (None,) * 3, "bulk and end must have one slot per state"),
+    ]
+    for bulk, end, message in cases:
+        with pytest.raises(ValueError) as err:
+            SweepParams(bulk=bulk, end=end)
+        assert str(err.value) == message
+
+
+def _slot_triple_is_valid(triple) -> bool:
+    """The per-slot rule: one slot per state, each None or a pair over 0..2 whose target changes the state."""
+    return len(triple) == 3 and all(
+        slot is None or (len(slot) == 2 and 0 <= slot[0] < 3 and 0 <= slot[1] < 3 and slot[1] != c)
+        for c, slot in enumerate(triple)
+    )
+
+
+def test_sweep_params_table_accepts_exactly_the_per_slot_rule():
+    slots = search._SWEEP_SLOTS + ((3, 1), (0, -1), (1,))
+    valid = FIRST_SWEEP.bulk
+    accepted = 0
+    for triple in product(slots, repeat=3):
+        for bulk, end in ((triple, valid), (valid, triple)):
+            if _slot_triple_is_valid(triple):
+                assert SweepParams(bulk=bulk, end=end).bulk is bulk
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    SweepParams(bulk=bulk, end=end)
+    assert accepted == 2 * 7**3 == 2 * len(search._SWEEP_TRIPLES)
+
+
+def test_sweep_enumeration_follows_the_slot_space_and_shares_triples():
+    tracemalloc.start()
+    try:
+        params = list(enumerate_sweep_params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000  # one slotted object per parameter set; the triples are shared
+    assert params == [search._slot_params(row) for row in search._sweep_space_slots()]
+    assert len({id(p.bulk) for p in params}) == len({id(p.end) for p in params}) == 343
 
 
 def test_sweep_rules_reproduce_the_catalogue():

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the golden spacetime diagrams under tests/golden/.
+"""Regenerate the golden diagrams and census reports under tests/golden/.
 
-Every golden is a deterministic render of a catalogue rule from a fixed
-initial state, so this script is the single source of truth for their
-bytes. Run it after an intentional rendering or rule change, eyeball the
-diff, and commit the result.
+Every golden is deterministic: a render of a catalogue rule from a fixed
+initial state, or the reports of exhaustive censuses of a catalogue rule
+over a range of lengths. This script is the single source of truth for
+their bytes. Run it after an intentional rendering, rule or census
+change, eyeball the diff, and commit the result.
 """
 
 import argparse
 import os
 
+from filaments.analysis import census
 from filaments.core import Filament
 from filaments.engine import run_trace
 from filaments.render import render_ascii, render_pgm
@@ -21,6 +23,11 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 def ascii_blocks(rule, initials, steps):
     blocks = [render_ascii(run_trace(rule, Filament.from_string(s), steps)) for s in initials]
     return "\n".join(blocks)
+
+
+def census_reports(name, lengths):
+    rule = rule_named(name)
+    return "\n".join(census(rule, n).report() for n in lengths)
 
 
 def build():
@@ -55,6 +62,18 @@ def build():
     sweep2 = run_trace(rule_named("automaton-ii"), Filament.from_string("00000001"), 15)
     files["sweep2-cycle-n8.txt"] = render_ascii(sweep2)
     files["sweep2-cycle-n8.pgm"] = render_pgm(sweep2, num_states=3)
+
+    # Census reports: the two laws (mismatches included, as at n = 2 for
+    # automaton-ii), and rules with no law, whose census compares nothing.
+    for name, last in (
+        ("automaton-i", 10),
+        ("automaton-ii", 10),
+        ("bouncer", 14),
+        ("bouncer-core", 14),
+        ("oblivious-example", 14),
+        ("clock-3", 8),
+    ):
+        files[f"census-{name}-n1-{last}.txt"] = census_reports(name, range(1, last + 1))
 
     return files
 

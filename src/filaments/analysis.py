@@ -2,13 +2,14 @@
 
 Each of the two catalogue three-state rules has one ``Liveness`` record,
 found by rule content (the compiled lookup table), never by name. The
-record's ``classes`` function is the law: under ``automaton_i`` a filament
-ends up perpetually cycling exactly when its initial state has an odd number
-of steps (adjacent unequal pairs), and under ``automaton_ii`` exactly when
-it has a 0 at one end but not the other. ``census`` classifies every
-length-n filament from the successor map ``engine.successor_array`` builds
-and checks the law against the outcome, which turns both claims into
-machine-checked facts at desk scale.
+record's class table over (first cell, last cell, step parity) is the law:
+under ``automaton_i`` a filament ends up perpetually cycling exactly when its
+initial state has an odd number of steps (adjacent unequal pairs), and under
+``automaton_ii`` exactly when it has a 0 at one end but not the other.
+``census`` classifies every length-n filament from the successor map
+``engine.successor_array`` builds and checks the law, read from state ids,
+against the outcome, which turns both claims into machine-checked facts at
+desk scale.
 
 Growth arithmetic is exact: each record's ``growth`` matrix, over the same
 classes, is built from ``fractions.Fraction`` so stationarity checks are
@@ -26,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import Filament, Rule
-from .engine import all_states_matrix, classify_functional_graph, default_horizon, successor_array
+from .engine import all_states_matrix  # noqa: F401 -- the bench tracer wraps analysis.all_states_matrix
+from .engine import classify_functional_graph, default_horizon, successor_array
 from .rules import automaton_i, automaton_ii
 
 __all__ = [
@@ -55,8 +57,11 @@ class GrowthMatrix:
     """A stochastic matrix over liveness classes, in exact rationals.
 
     Row i gives the class distribution after appending one uniformly
-    random cell to a filament of class ``labels[i]``. ``stationary`` is
-    the row vector this matrix fixes exactly.
+    random cell to a uniformly random length-n state of class ``labels[i]``.
+    The end-zero one-end-0 row (1/6, 1/2, 1/3) weighs equally the chains of
+    a first cell 0, (1/3, 2/3, 0), and not 0, (0, 1/3, 2/3); a filament's
+    first cell never changes, so it follows one of those two chains.
+    ``stationary`` is the row vector this matrix fixes exactly.
     """
 
     labels: tuple[str, ...]
@@ -80,32 +85,47 @@ class GrowthMatrix:
         return self.applied_to(distribution) == tuple(distribution)
 
 
-def _step_parity_classes(states: np.ndarray) -> np.ndarray:
-    """(S, n) states to class ids: 0 for an odd number of adjacent unequal pairs, 1 for even."""
-    # An xor started from True ends True exactly on the even rows.
-    return np.logical_xor.reduce(np.diff(states, axis=1) != 0, axis=1, initial=True).view(np.int8)
-
-
-def _end_zero_classes(states: np.ndarray) -> np.ndarray:
-    """(S, n) states to class ids: the number of end cells that are not 0
-    (0 = both ends 0, 1 = one end 0, 2 = no end 0)."""
-    return (states[:, 0] != 0).view(np.int8) + (states[:, -1] != 0).view(np.int8)
-
-
 class Liveness(NamedTuple):
     """A rule's closed-form liveness law.
 
-    ``classes`` maps an (S, n) state matrix to int8 class ids, and rows of
-    class ``live`` cycle forever. ``sweeps`` counts the sweeps of the rule's
-    normal cycle, which paces population growth. ``growth`` is the exact
-    chain the classes follow when one uniformly random cell is appended;
-    its rows are in class-id order.
+    ``table`` is a read-only int8 array of class ids indexed [first cell,
+    last cell, step parity], with a parity axis of length 1 if the law
+    ignores parity. Rows of class ``live`` cycle forever. ``sweeps`` counts
+    the sweeps of the normal cycle, which paces population growth.
+    ``growth`` is the class chain under appending one random cell, exact
+    over uniformly random states of one length (see ``GrowthMatrix``).
     """
 
-    classes: Callable[[np.ndarray], np.ndarray]
+    table: np.ndarray
     live: int
     sweeps: int
     growth: GrowthMatrix
+
+    def classes(self, states: np.ndarray) -> np.ndarray:
+        """int8[S]: the class ids of the rows of an (S, n) uint8 state matrix."""
+        s, _, parities = self.table.shape
+        # Flat keys stay uint8, like the cells, so a table holds at most 256 entries.
+        key = states[:, 0] * s + states[:, -1]
+        if parities == 2:
+            key = key * 2 + np.logical_xor.reduce(states[:, 1:] != states[:, :-1], axis=1)
+        return self.table.ravel().take(key)
+
+    def id_classes(self, n: int) -> np.ndarray:
+        """int8[s**n]: the class ids of the length-n states, by state id.
+
+        The first cell is the id's leading base-s digit. The (last cell,
+        parity) key grows one digit per length: prepending d to a state
+        starting with c flips the parity when d != c and parity is read.
+        """
+        s, _, parities = self.table.shape
+        cells = np.arange(s, dtype=np.uint8)
+        last = cells * np.uint8(parities)
+        flips = np.uint8(parities - 1) * (cells[:, None] != cells)[:, :, None]
+        for _ in range(n - 1):
+            last = last.reshape(1, s, -1) ^ flips
+        # Fancy indexing reads uint8 keys in blocks; take would copy them to intp.
+        key = cells[:, None] * np.uint8(s * parities) + last.reshape(s, -1)
+        return self.table.ravel()[key].ravel()
 
     def predict(self, states: np.ndarray) -> np.ndarray:
         """bool[S]: the rows of ``states`` the law calls live."""
@@ -133,9 +153,14 @@ def _catalogue_liveness() -> tuple[tuple[np.ndarray, Liveness], ...]:
         ),
         stationary=(Fraction(1, 9), Fraction(4, 9), Fraction(4, 9)),
     )
+    # Class 0 for odd step parity, 1 for even; and the number of end cells not 0.
+    parity_table = np.array([[[1, 0]] * 3] * 3, dtype=np.int8)
+    end_zero_table = np.array([[[0], [1], [1]], [[1], [2], [2]], [[1], [2], [2]]], dtype=np.int8)
+    for table in (parity_table, end_zero_table):
+        table.flags.writeable = False
     return (
-        (automaton_i().lookup_table, Liveness(_step_parity_classes, live=0, sweeps=6, growth=parity)),
-        (automaton_ii().lookup_table, Liveness(_end_zero_classes, live=1, sweeps=2, growth=end_zero)),
+        (automaton_i().lookup_table, Liveness(parity_table, live=0, sweeps=6, growth=parity)),
+        (automaton_ii().lookup_table, Liveness(end_zero_table, live=1, sweeps=2, growth=end_zero)),
     )
 
 
@@ -214,8 +239,8 @@ def census(
     content; unknown rules have none, so nothing is compared) or None (skip
     the comparison). Enumeration is lexicographic; the functional graph over
     all s**n states is classified in one pass, which agrees with per-state
-    cycle detection by determinism. The (s**n, n) state matrix is built only
-    to compare a law.
+    cycle detection by determinism. The law is read from state ids
+    (``Liveness.id_classes``), so no (s**n, n) state matrix is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -241,11 +266,11 @@ def census(
 
     mismatches, first_mismatch = 0, None
     if liveness is not None:
-        matrix = all_states_matrix(rule.num_states, n)
-        wrong = liveness.predict(matrix) != live_mask
+        wrong = (liveness.id_classes(n) == liveness.live) != live_mask
         mismatches = int(wrong.sum())
         if mismatches:
-            first_mismatch = Filament(matrix[wrong.argmax()])  # rows run in lexicographic order
+            # Ids run in lexicographic order, and an id's base-s digits are its cells.
+            first_mismatch = Filament(np.unravel_index(wrong.argmax(), (rule.num_states,) * n))
 
     return Census(
         rule_name=rule.name,

@@ -25,6 +25,7 @@ from filaments.engine import (
     all_states_matrix,
     classify_functional_graph,
     detect_cycle,
+    run_trace,
     step_array,
     successor_array,
 )
@@ -431,6 +432,22 @@ def test_scan_measured_totals_at_lengths_eleven_and_twelve():
     verdict = search_type_a(lengths=(11, 12))
     assert verdict.complete
     assert verdict.per_length == ((11, 87212, 27996, 0), (12, 87540, 28100, 0))
+
+
+def test_sweeping_waves_return_at_length_ten_under_a_budget_of_four():
+    # The minimality claim depends on k_a: at length 10 no rule sweeps with
+    # at most 3 changed cells per step, but 32 rules do with at most 4.
+    assert search_type_a(lengths=(10,), k_a=3).per_length == ((10, 90460, 31652, 0),)
+    verdict = search_type_a(lengths=(10,), k_a=4)
+    assert verdict.per_length == ((10, 96844, 43140, 32),)
+    witness = next(w for w in verdict.witnesses if w.rule_index == 11974)
+    assert (witness.initial, witness.period, witness.k_max, witness.sweeping) == ("0001001001", 6, 4, True)
+    rule, initial = rule_from_index(11974), Filament.from_string("0001001001")
+    report = detect_cycle(rule, initial, k_a=4)
+    assert (report.outcome, report.transient, report.period, report.wave.k_max) == ("cyclic", 0, 6, 4)
+    rows = np.array([state.cells for state in run_trace(rule, initial, 6).states])
+    assert rows[0].tolist() == rows[-1].tolist()
+    assert (rows[1:] != rows[:-1]).any(axis=0).all()
 
 
 def test_bouncer_sole_nonconverger_is_all_ones():

@@ -187,19 +187,22 @@ def test_predictor_follows_rule_content_not_name(tmp_path):
         )
 
 
-def test_census_builds_a_state_matrix_only_to_compare_a_law(monkeypatch):
-    # Without a law to compare (predictor None, or a rule with no closed
-    # form) the census reads only the successor map.
-    runs = [(automaton_i(), None), (bouncer_rule(), "auto"), (clock_rule(3), "auto")]
-    want = [census(rule, 6, predictor=predictor).report() for rule, predictor in runs]
+def test_census_never_builds_a_state_matrix(monkeypatch):
+    # The census reads the successor map and, to compare a law, the law's
+    # class table by state id; neither needs the (s**n, n) state matrix.
+    runs = [
+        (rule, n, predictor)
+        for rule, n in ((automaton_i(), 6), (automaton_ii(), 6), (automaton_ii(), 2))
+        for predictor in ("auto", None)
+    ] + [(bouncer_rule(), 6, "auto"), (clock_rule(3), 6, "auto")]
+    want = [census(rule, n, predictor=predictor).report() for rule, n, predictor in runs]
+    assert "prediction_mismatches: 4" in want[4]  # automaton-ii at n = 2, with its law
 
     def refuse(*args):
-        raise AssertionError("census built a state matrix it does not read")
+        raise AssertionError("census built a state matrix")
 
     monkeypatch.setattr(analysis, "all_states_matrix", refuse)
-    assert [census(rule, 6, predictor=predictor).report() for rule, predictor in runs] == want
-    with pytest.raises(AssertionError, match="does not read"):
-        census(automaton_i(), 6)
+    assert [census(rule, n, predictor=predictor).report() for rule, n, predictor in runs] == want
 
 
 def test_census_budget_guard():
@@ -280,10 +283,48 @@ def test_class_arrays_match_scalar_predictors():
     assert (parity.sweeps, end_zero.sweeps) == (6, 2)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_id_classes_equal_row_classes_for_the_catalogue_laws(n):
+    for rule in (automaton_i(), automaton_ii()):
+        liveness = liveness_of(rule)
+        by_id = liveness.id_classes(n)
+        assert by_id.dtype == np.int8
+        assert np.array_equal(by_id, liveness.classes(all_states_matrix(3, n)))
+
+
+@given(st.integers(2, 4), st.sampled_from((1, 2)), st.integers(1, 7), st.data())
+def test_both_readers_of_a_random_table_agree(s, parities, n, data):
+    values = data.draw(st.lists(st.integers(-128, 127), min_size=s * s * parities, max_size=s * s * parities))
+    table = np.array(values, dtype=np.int8).reshape(s, s, parities)
+    liveness = analysis.Liveness(table, live=0, sweeps=1, growth=None)
+    matrix = all_states_matrix(s, n)
+    parity = np.count_nonzero(np.diff(matrix.astype(int), axis=1), axis=1) % table.shape[2]
+    expected = table[matrix[:, 0], matrix[:, -1], parity]
+    assert np.array_equal(liveness.classes(matrix), expected)
+    assert np.array_equal(liveness.id_classes(n), expected)
+
+
 def test_end_zero_class_values():
     classes = liveness_of(automaton_ii()).classes
     for text, expected in (("010", 0), ("011", 1), ("110", 1), ("111", 2), ("0", 0), ("1", 2)):
         assert classes(np.array([Filament.from_string(text).cells])).tolist() == [expected]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_end_zero_growth_is_the_average_of_two_first_cell_chains(n):
+    # The first cell never changes, so split the exhaustive count by it:
+    # length-n ids below 3**(n-1) start with 0, and appending keeps them
+    # below 3**n. Each half is its own chain, and the typed one-end-0 row is
+    # their average with equal weights.
+    liveness = liveness_of(automaton_ii())
+    at_n, at_n1 = liveness.id_classes(n), liveness.id_classes(n + 1)
+    head, head1 = 3 ** (n - 1), 3**n
+    zero = measure_accretion_matrix(at_n[:head], at_n1[:head1], num_classes=3, num_states=3)
+    nonzero = measure_accretion_matrix(at_n[head:], at_n1[head1:], num_classes=3, num_states=3)
+    third, none = Fraction(1, 3), Fraction(0)
+    assert zero == ((third, 2 * third, none), (third, 2 * third, none), (none, none, none))
+    assert nonzero == ((none, none, none), (none, third, 2 * third), (none, third, 2 * third))
+    assert liveness.growth.rows[1] == tuple((a + b) / 2 for a, b in zip(zero[1], nonzero[1]))
 
 
 def test_measured_accretion_matches_declared_matrix():

@@ -30,9 +30,13 @@ two-block reading of the de Bruijn window decomposition (Sutner 1991): each
 half of a filament is decided by a window r cells wider, its digits are
 looked up once per window, and the halves meet in one broadcast, with no
 (s**n, n) state matrix. The census (through ``successor_array``) and the
-three-state hunt call it; the two-state scan uses its windows and meet. The
-census and the hunt then share one pointer-jumping walk onto the cycles
-(``_onto_cycles``), and the census labels only the M cycle nodes it lands on.
+three-state hunt call it; the two-state scan uses its windows and meet. Both
+then walk every state onto its cycle by pointer jumping. The census
+(``classify_functional_graph``) stops its walk, and its transient pass, after
+ceil(log2 T) rounds for the longest tail T, which it detects exactly, and labels
+only the M cycle nodes it lands on: O(N log T + M log M). The hunt's walk
+(``_onto_cycles``) keeps its fixed ceil(log2 N) rounds, which measured faster
+on its many small maps than testing for the stop.
 """
 
 from __future__ import annotations
@@ -432,6 +436,7 @@ def successor_array(rule: Rule, n: int) -> np.ndarray:
     return _successor_map(rule.lookup_table.reshape(1, -1), rule.num_states, rule.radius, n)[0]
 
 
+# No stop test: one like classify_functional_graph's slowed the hunt bench op 25-33 % (in-process A/B).
 def _onto_cycles(flat: np.ndarray, size: int) -> np.ndarray:
     """Where each node of one or more maps of ``size`` nodes, laid out flat as
     ``_successor_map``'s, lands on its cycle: ceil(log2 size) rounds of
@@ -445,10 +450,21 @@ def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Transient length and eventual period for every node at once.
 
     ``succ`` maps each of the N node ids to its successor; an id that is not an
-    integer in [0, N) raises ``ValueError``. Only the M cycle nodes ``_onto_cycles``
-    lands on, numbered 0..M-1 in node order, get a running-minimum label doubling,
-    which names each cycle by its smallest node and counts its period; a pass over
-    all nodes sums "off a cycle" into transients. O(N log N + M log M).
+    integer in [0, N) raises ``ValueError``. Both pointer-jumping passes (Wyllie
+    1979) stop once their work is done, after ceil(log2 T) rounds for the longest
+    tail T rather than ceil(log2 N):
+
+    - The walk onto the cycles: after k rounds ``landing`` is succ**(2**k). Its
+      image L_k holds every cycle node and shrinks with k, and ``landing`` maps
+      L_k onto L_{k+1}. Once that map is injective it permutes L_k, so L_k is
+      the cycle set and every tail is at most 2**k long.
+    - The M cycle nodes, numbered 0..M-1 in node order, get a running-minimum
+      label doubling, which names each cycle by its smallest node and counts
+      its period; every node takes the period of the node it lands on.
+    - After k rounds of summing "off a cycle" along the walks, a transient is
+      min(T, 2**k), so the walk's k rounds give every transient exactly.
+
+    O(N log T + M log M).
     """
     succ = np.asarray(succ)
     total = len(succ)
@@ -456,20 +472,31 @@ def classify_functional_graph(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if total and (succ.dtype.kind not in "iu" or succ.view(f"u{succ.itemsize}").max() >= total):
         raise ValueError(f"successor ids must be integers in [0, {total})")
     succ = succ.astype(np.int64, copy=False)
-    landing = _onto_cycles(succ, total)
-    transient = np.ones(total, dtype=np.int64)  # 1 off a cycle, summed along walks below
-    transient[landing] = 0
-    cycle = np.flatnonzero(transient == 0)
+    on = np.zeros(total, dtype=bool)
+    on[succ] = True
+    cycle = np.flatnonzero(on)  # L_0, until the walk shrinks it to the cycle nodes
+    landing, rounds = succ, 0
+    while True:  # ``on`` marks L_k as ``cycle`` lists it; mark L_{k+1} in its place
+        on[cycle] = False
+        on[landing.take(cycle)] = True
+        if np.count_nonzero(on) == len(cycle):
+            break
+        cycle = np.flatnonzero(on)
+        landing, rounds = landing.take(landing), rounds + 1
     label = np.arange(len(cycle))
     period = np.zeros(total, dtype=np.int64)
     period[cycle] = label  # each cycle node's number in node order, until periods replace it
-    jump = period[succ[cycle]]
+    jump = period.take(succ.take(cycle))
     for _ in range(max(len(cycle) - 1, 0).bit_length()):
-        np.minimum(label, label[jump], out=label)
-        jump = jump[jump]
+        np.minimum(label, label.take(jump), out=label)
+        jump = jump.take(jump)
     period[cycle] = np.bincount(label)[label]
-    period = period[landing]
-    for _ in range(max(total - 1, 0).bit_length()):
-        transient += transient[succ]
-        succ = succ[succ]
-    return transient, period
+    period = period.take(landing)
+    del landing  # before the transient pass, which holds its own jumps
+    # 1 off a cycle; the sums never pass 2**rounds, so the narrowest dtype that holds it.
+    transient = (~on).astype(np.min_scalar_type(1 << rounds))
+    for k in range(rounds):  # after k rounds, succ is succ**(2**k)
+        if k:
+            succ = succ.take(succ)
+        transient += transient.take(succ)
+    return transient.astype(np.int64), period

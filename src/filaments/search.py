@@ -36,9 +36,11 @@ The verdict's witnesses are a read-only sequence (``Witnesses``) over NumPy
 columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
 
-The hunt builds its successor maps with ``engine._successor_map`` and walks
-them onto their cycles with ``engine._onto_cycles``, as the census does; a
-state is live when it lands off a fixed point. Lengths go in ascending order,
+The hunt builds its successor maps with ``engine._successor_map``, as the
+census does, and walks them onto their cycles with ``engine._onto_cycles`` in
+a fixed ceil(log2 3**n) rounds (the census stops its own walk once its tails
+are walked; a stop test measured slower on the hunt's small maps); a state is
+live when it lands off a fixed point. Lengths go in ascending order,
 and a candidate with no live or no dead state at a probe length is dropped
 before the next length is built. The sweep family is one table of its 343
 valid slot triples (``_SWEEP_TRIPLES``), each triple one shared tuple mapped
@@ -871,7 +873,7 @@ def hunt_viable_3state(
     Candidates run as arrays: one interesting mask over all tables
     (``rules.state_graphs``, as ``classify_rule`` reads it), then,
     per chunk of candidates, one successor map and one walk onto the cycles
-    (``engine._onto_cycles``, shared with the census) per length, reduced to
+    (``engine._onto_cycles``, in a fixed ceil(log2 3**n) rounds) per length, reduced to
     liveness counts. Lengths go in ascending
     order, and a candidate degenerate at a probe length is dropped before
     the next length, so longer lengths are built only for candidates still

@@ -587,6 +587,32 @@ def walk_functional_graph(succ):
     return transient, period
 
 
+def full_doubling_functional_graph(succ):
+    """Second reference: the classifier that always runs ceil(log2 N) rounds of
+    each doubling pass, onto the cycles and over the transients."""
+    succ = np.asarray(succ, dtype=np.int64)
+    total = len(succ)
+    landing = succ
+    for _ in range(max(total - 1, 0).bit_length()):
+        landing = landing.take(landing)
+    transient = np.ones(total, dtype=np.int64)  # 1 off a cycle, summed along walks below
+    transient[landing] = 0
+    cycle = np.flatnonzero(transient == 0)
+    label = np.arange(len(cycle))
+    period = np.zeros(total, dtype=np.int64)
+    period[cycle] = label
+    jump = period[succ[cycle]]
+    for _ in range(max(len(cycle) - 1, 0).bit_length()):
+        np.minimum(label, label[jump], out=label)
+        jump = jump[jump]
+    period[cycle] = np.bincount(label)[label]
+    period = period[landing]
+    for _ in range(max(total - 1, 0).bit_length()):
+        transient += transient[succ]
+        succ = succ[succ]
+    return transient, period
+
+
 def assert_matches_walk(succ):
     transient, period = classify_functional_graph(np.asarray(succ, dtype=np.int64))
     want_transient, want_period = walk_functional_graph(succ)
@@ -595,15 +621,65 @@ def assert_matches_walk(succ):
     assert period.tolist() == want_period.tolist()
 
 
+def assert_matches_both_references(succ):
+    """The per-node walk and the full-doubling classifier both agree."""
+    assert_matches_walk(succ)
+    transient, period = classify_functional_graph(np.asarray(succ, dtype=np.int64))
+    want_transient, want_period = full_doubling_functional_graph(succ)
+    assert np.array_equal(transient, want_transient)
+    assert np.array_equal(period, want_period)
+
+
+def relabelled(succ, seed):
+    """``succ`` with its node ids permuted, so no shape depends on node order."""
+    succ = np.asarray(succ, dtype=np.int64)
+    perm = np.random.default_rng(seed).permutation(len(succ))
+    out = np.empty_like(succ)
+    out[perm] = perm[succ]
+    return out
+
+
+def tail_into_cycle(tail, cycle):
+    """A path of ``tail`` nodes into a cycle of ``cycle`` nodes: nodes 0..cycle-1
+    form the cycle and node cycle+i steps to node cycle+i-1, so its transient is i+1."""
+    return [(i + 1) % cycle for i in range(cycle)] + list(range(cycle - 1, cycle + tail - 1))
+
+
+def trees_off_one_cycle(cycle, parents):
+    """One cycle of ``cycle`` nodes with tree nodes hung off it: tree node j
+    steps to node ``parents[j] % (cycle + j)``, a cycle node or an earlier tree
+    node, so the trees are random recursive trees, shallow and many."""
+    return [(i + 1) % cycle for i in range(cycle)] + [p % (cycle + j) for j, p in enumerate(parents)]
+
+
 successor_lists = st.integers(1, 500).flatmap(
     lambda size: st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
 )
+seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(successor_lists)
 def test_classify_functional_graph_matches_walk(succ):
-    assert_matches_walk(succ)
+    assert_matches_both_references(succ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 700), st.integers(1, 300), seeds)
+def test_classify_functional_graph_matches_full_doubling_on_long_tails(tail, cycle, seed):
+    assert_matches_both_references(relabelled(tail_into_cycle(tail, cycle), seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 500).flatmap(lambda size: st.permutations(range(size))))
+def test_classify_functional_graph_matches_full_doubling_on_permutations(perm):
+    assert_matches_both_references(perm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.lists(st.integers(0, 2**16), max_size=500), seeds)
+def test_classify_functional_graph_matches_full_doubling_on_trees_off_one_cycle(cycle, parents, seed):
+    assert_matches_both_references(relabelled(trees_off_one_cycle(cycle, parents), seed))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 500])
@@ -620,6 +696,13 @@ def test_classify_functional_graph_extremes(size):
     assert transient.tolist() == list(range(size - 1, -1, -1))
     assert period.tolist() == [1] * size
     assert_matches_walk(path)
+    # Tails of 2**k and 2**k + 1 nodes into a cycle of ``size`` nodes: the walk
+    # must stop after exactly k and k + 1 rounds.
+    for k in range(9):
+        for tail in (2**k, 2**k + 1):
+            transient, period = classify_functional_graph(np.array(tail_into_cycle(tail, size)))
+            assert transient.tolist() == [0] * size + list(range(1, tail + 1))
+            assert period.tolist() == [size] * (size + tail)
 
 
 @pytest.mark.parametrize("succ", [[-1, 0], [1.7, 0.2], [5, 0], [2, 0], [True, False]], ids=str)

@@ -14,9 +14,10 @@ unchanged, so tables only need to list state changes. A rule may be marked
 symmetric, in which case an entry also matches the mirror image of the
 neighborhood and sides effectively pair up unordered.
 
-A rule compiles once, on construction, to a dense lookup table; compiling
-is the conflict check. The scalar interpreter (``Rule.next_state``) stays
-as the oracle the table is tested against.
+A rule is checked once, when it is built, and no rule skips the check: its
+entries' tokens are range-checked, then it compiles to a dense lookup
+table, and compiling is the conflict check. The scalar interpreter
+(``Rule.next_state``) stays as the oracle the table is tested against.
 
 Everything here is an immutable value, safe to share between workers.
 """
@@ -24,7 +25,7 @@ Everything here is an immutable value, safe to share between workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Optional, Union
 
@@ -236,9 +237,8 @@ class Rule:
     radius: int
     symmetric: bool
     entries: tuple[RuleEntry, ...]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.num_states < 1:
             raise ValueError("num_states must be at least 1")
@@ -252,9 +252,8 @@ class Rule:
                 f"radius {self.radius} with {self.num_states} states needs a lookup table "
                 f"of {cells} cells, more than the limit of {MAX_TABLE_CELLS}"
             )
-        if validate:
-            self._check_tokens()
-            self.lookup_table  # compiling the table is the conflict check
+        self._check_tokens()
+        self.lookup_table  # compiling the table is the conflict check
 
     # -- validation ---------------------------------------------------------
 
@@ -283,9 +282,14 @@ class Rule:
                 yield Neighborhood(self.radius, left, right)
 
     def next_state(self, current: int, nbhd: Neighborhood) -> int:
-        """Next state of a cell, falling back to the current state on no match."""
+        """Next state of a cell, falling back to the current state on no match.
+
+        A neighborhood of another radius than the rule's raises ``ValueError``.
+        """
         if not 0 <= current < self.num_states:
             raise ValueError(f"current state {current} out of range for rule {self.name!r}")
+        if nbhd.radius != self.radius:
+            raise ValueError(f"neighborhood of radius {nbhd.radius} for rule {self.name!r} of radius {self.radius}")
         hits = [e for e in self.entries if e.matches(current, nbhd, self.symmetric)]
         nexts = {e.next_state for e in hits}
         if len(nexts) > 1:
@@ -305,8 +309,10 @@ class Rule:
         outermost]`` with every neighbor axis of size ``num_states + 1``;
         code ``num_states`` stands for EMPTY. Slots for inadmissible index
         combinations (an empty slot inside a side) hold the current state
-        and are never consulted by the evolution code. The table is
-        read-only: ``lookup_image`` caches a copy of it.
+        and are never consulted by the evolution code. Every value is a
+        state in ``[0, num_states)``: entries' next states are checked before
+        compiling, and an unwritten cell holds its current state. The table is
+        read-only, so the stepping kernel's byte image of it cannot go stale.
 
         Each entry, and its mirror for a symmetric rule, writes the block its
         tokens select: a literal its own code, ``ANY`` codes ``0..s-1`` and
@@ -336,21 +342,3 @@ class Rule:
                 written[block] = True
         table.flags.writeable = False
         return table
-
-    @cached_property
-    def lookup_image(self) -> Optional[bytes]:
-        """``lookup_table`` flattened to the 256-byte image of ``bytes.translate``.
-
-        A table of at most 256 cells has byte-sized flat keys, so translating a
-        row of keys through the image looks each one up; a wider table has no
-        image (None). Either way a table value outside ``[0, num_states)``,
-        which only a rule built with ``validate=False`` can hold, raises
-        ``ValueError``: stepping it would leave every later row out of range.
-        """
-        table = self.lookup_table.ravel()
-        if table.max() >= self.num_states:
-            raise ValueError(
-                f"rule {self.name!r}: lookup table holds state {table.max()}, "
-                f"outside [0, {self.num_states})"
-            )
-        return table.tobytes().ljust(256, b"\0") if table.size <= 256 else None

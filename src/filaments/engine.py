@@ -17,13 +17,13 @@ Every step goes through one private kernel (``_Kernel``), built for a rule
 and a ``(batch, n)`` shape. It holds the cells cell-major in a buffer whose
 EMPTY border is written once, builds each cell's flat table key in place
 (``_fill_keys``, which ``neighborhood_keys`` shares) and looks the keys up
-with ``bytes.translate`` through the rule's 256-byte ``lookup_image`` when
+with ``bytes.translate`` through a 256-byte image of the rule's table when
 the table has at most 256 cells, which covers every catalogue rule. Only a
 wider table takes the NumPy gather. Validation happens once per input, never
 per step: ``step_array`` checks its array, ``run_trace`` and ``detect_cycle``
-their starting row, and the kernel reads ``lookup_image``, which checks once
-per rule that every table value is a state. A row in range then steps to a
-row in range, so the loops check nothing more.
+their starting row. Every table value is a state, since a rule is checked
+when it is built, so a row in range steps to a row in range and the loops
+check nothing more.
 
 Whole state spaces have one successor builder (``_successor_map``), a
 two-block reading of the de Bruijn window decomposition (Sutner 1991): each
@@ -34,9 +34,8 @@ three-state hunt call it; the two-state scan uses its windows and meet. Both
 then walk every state onto its cycle by pointer jumping. The census
 (``classify_functional_graph``) stops its walk, and its transient pass, after
 ceil(log2 T) rounds for the longest tail T, which it detects exactly, and labels
-only the M cycle nodes it lands on: O(N log T + M log M). The hunt's walk
-(``_onto_cycles``) keeps its fixed ceil(log2 N) rounds, which measured faster
-on its many small maps than testing for the stop.
+only the M cycle nodes it lands on: O(N log T + M log M). The hunt walks with
+``_onto_cycles``.
 """
 
 from __future__ import annotations
@@ -135,15 +134,15 @@ class _Kernel:
     padded buffer whose EMPTY border is written here, once. Load columns into
     it, and ``step()`` returns their successors in the same cell-major layout.
     Keys are built in place by ``_fill_keys``. A table of at most 256 cells
-    looks them up with ``bytes.translate`` through ``rule.lookup_image``; only
-    a wider table gathers. Reading the image checks once per rule that every
+    looks them up with ``bytes.translate`` through ``image``, the flat table
+    padded to 256 bytes; a wider table has no image (None) and gathers. Every
     table value is a state, so cells loaded in range step to cells in range:
     callers check their starting rows and nothing after.
     """
 
     def __init__(self, rule: Rule, batch: int, n: int) -> None:
-        self.image = rule.lookup_image
         self.table = rule.lookup_table.ravel()
+        self.image = self.table.tobytes().ljust(256, b"\0") if self.table.size <= 256 else None
         self.num_states = rule.num_states
         padded = np.full((n + 2 * rule.radius, batch), rule.num_states, dtype=np.uint8)
         self.cells = padded[rule.radius : rule.radius + n]
@@ -167,8 +166,7 @@ def step_array(rule: Rule, states: np.ndarray) -> np.ndarray:
 
     ``states`` has shape ``(batch, n)`` with integer cell states; the result
     is a new, writable ``(batch, n)`` uint8 array. All rows must share one
-    length. A cell outside ``[0, rule.num_states)`` raises ``ValueError``, and
-    so does a rule whose table holds a value outside that range.
+    length. A cell outside ``[0, rule.num_states)`` raises ``ValueError``.
 
     The step is the engine's one stepping kernel (``_Kernel``): keys built on
     an EMPTY-padded copy of the cells, then looked up with ``bytes.translate``
@@ -430,9 +428,7 @@ def _successor_map(tables: np.ndarray, num_states: int, radius: int, n: int) -> 
 
 
 def successor_array(rule: Rule, n: int) -> np.ndarray:
-    """State id of the successor of every length-``n`` filament; a table value
-    outside ``[0, rule.num_states)`` raises ``ValueError``, as in ``step_array``."""
-    rule.lookup_image  # checks once per rule that every table value is a state
+    """State id of the successor of every length-``n`` filament."""
     return _successor_map(rule.lookup_table.reshape(1, -1), rule.num_states, rule.radius, n)[0]
 
 

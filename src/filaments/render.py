@@ -3,8 +3,8 @@
 Time flows downward, one row per step. The PGM pixel convention: state 0
 is black (0) and state 1 is white (255); for three states, state 2 is
 grey (128). Rules with more states fall back to evenly spaced gray
-levels. Output is the text P2 format so diagrams stay diffable and
-dependency-free.
+levels, and a one-state rule's only state is black. Output is the text
+P2 format so diagrams stay diffable and dependency-free.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def pixel_value(state: int, num_states: int) -> int:
         return (0, 255)[state]
     if num_states == 3:
         return (0, 255, 128)[state]
-    return round(255 * state / (num_states - 1))
+    return round(255 * state / max(num_states - 1, 1))
 
 
 def render_pgm(states: TraceLike, num_states: int) -> str:

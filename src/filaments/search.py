@@ -37,10 +37,8 @@ columns that builds each ``SearchWitness`` only when it is read, so a
 caller pays for the witnesses it reads, not for all of them.
 
 The hunt builds its successor maps with ``engine._successor_map``, as the
-census does, and walks them onto their cycles with ``engine._onto_cycles`` in
-a fixed ceil(log2 3**n) rounds (the census stops its own walk once its tails
-are walked; a stop test measured slower on the hunt's small maps); a state is
-live when it lands off a fixed point. Lengths go in ascending order,
+census does, and walks them onto their cycles with ``engine._onto_cycles``; a
+state is live when it lands off a fixed point. Lengths go in ascending order,
 and a candidate with no live or no dead state at a probe length is dropped
 before the next length is built. The sweep family is one table of its 343
 valid slot triples (``_SWEEP_TRIPLES``), each triple one shared tuple mapped
@@ -549,24 +547,17 @@ def _scan_length(
     )
 
 
-def _witness_fields(
-    fps: np.ndarray, mask: np.ndarray, witness: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """What the witness columns are gathered from.
-
-    ``witness`` holds the (n, state, period, k_max, travelling, sweeping)
-    rows of each fingerprint's first witness. Returns the interesting rule
-    indices with one of the fingerprints, in rule order; the position in
-    ``fps`` of each one's fingerprint; and per fingerprint the witness's n,
-    state, period, k_max, travelling and sweeping.
-    """
+def _witness_fields(fps: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the witness columns are gathered from: the interesting rule
+    indices with one of the fingerprints ``fps``, in rule order, and the
+    position in ``fps`` of each one's fingerprint."""
     # A fingerprint's four indices differ in bits 8 and 17, the (empty, empty) entries.
     fp = fps.astype(np.int64)
     members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
     owner = np.broadcast_to(np.arange(len(fps))[:, None], members.shape)[mask[members]]
     members = members[mask[members]]
     order = np.argsort(members)
-    return members[order], owner[order], tuple(witness)
+    return members[order], owner[order]
 
 
 def search_type_a(
@@ -626,7 +617,8 @@ def search_type_a(
         sweeping |= sweep
 
     flagged = np.flatnonzero(type_a)
-    members, owner, fields = _witness_fields(fps[flagged], mask, witness[:, flagged])
+    members, owner = _witness_fields(fps[flagged], mask)
+    owner = flagged[owner]  # each member's position in ``fps``
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
@@ -635,10 +627,10 @@ def search_type_a(
         rules_interesting=int(mask.sum()),
         fingerprints_simulated=len(fps),
         rules_with_type_a_cycle=len(members),
-        rules_with_travelling_type_a_cycle=int(travelling[flagged][owner].sum()),
-        rules_with_sweeping_type_a_cycle=int(sweeping[flagged][owner].sum()),
+        rules_with_travelling_type_a_cycle=int(travelling[owner].sum()),
+        rules_with_sweeping_type_a_cycle=int(sweeping[owner].sum()),
         per_length=tuple(per_length),
-        witnesses=Witnesses(members, *(field[owner] for field in fields)),
+        witnesses=Witnesses(members, *witness[:, owner]),
         complete=all(kind == "exhaustive" for _, kind in coverage),
     )
 
@@ -873,8 +865,7 @@ def hunt_viable_3state(
     Candidates run as arrays: one interesting mask over all tables
     (``rules.state_graphs``, as ``classify_rule`` reads it), then,
     per chunk of candidates, one successor map and one walk onto the cycles
-    (``engine._onto_cycles``, in a fixed ceil(log2 3**n) rounds) per length, reduced to
-    liveness counts. Lengths go in ascending
+    (``engine._onto_cycles``) per length, reduced to liveness counts. Lengths go in ascending
     order, and a candidate degenerate at a probe length is dropped before
     the next length, so longer lengths are built only for candidates still
     non-degenerate.

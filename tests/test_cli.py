@@ -74,6 +74,16 @@ def test_trace_pgm_output(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_trace_pgm_of_a_one_state_rule_is_black(capsys, tmp_path):
+    rule, path = tmp_path / "one.rule", tmp_path / "trace.pgm"
+    rule.write_text("states 1\nradius 1\nsymmetric false\n")
+    rc = main(["trace", "--rule", str(rule), "--init", "000", "--steps", "2",
+               "--format", "pgm", "--out", str(path)])
+    assert rc == 0
+    assert path.read_text() == "P2\n3 3\n255\n0 0 0\n0 0 0\n0 0 0\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_classify_reports_cycle(capsys):
     rc = main(["classify", "--rule", "automaton-i", "--init", "0222"])
     assert rc == 0

@@ -19,6 +19,7 @@ from filaments.core import (
     neighborhood_of,
     token_matches,
 )
+from filaments.engine import _Kernel
 from filaments.rules import automaton_i, automaton_ii, bouncer_rule, clock_rule
 
 
@@ -146,30 +147,30 @@ def test_hold_by_default():
 
 @st.composite
 def unchecked_rules(draw):
-    """Rules of 2..4 states at radius 1 or 2, built unchecked from random entries."""
+    """``(s, r, symmetric, entries)`` of 2..4 states at radius 1 or 2, with random
+    entries that may conflict."""
     s, r = draw(st.integers(2, 4)), draw(st.integers(1, 2))
     token = st.sampled_from([ANY, EMPTY, *range(s)])
     side = st.tuples(*[token] * r)
     entry = st.builds(RuleEntry, st.integers(0, s - 1), side, side, st.integers(0, s - 1))
-    entries = draw(st.lists(entry, max_size=6))
-    return Rule("drawn", s, r, draw(st.booleans()), tuple(entries), validate=False)
+    return s, r, draw(st.booleans()), tuple(draw(st.lists(entry, max_size=6)))
 
 
 @given(unchecked_rules())
 @settings(max_examples=60, deadline=None)
-def test_compiled_table_is_the_interpreter_and_its_conflict_check(unchecked):
-    s, r = unchecked.num_states, unchecked.radius
-    inputs = [(c, nb) for c in range(s) for nb in unchecked.admissible_neighborhoods()]
-    ambiguous = any(
-        len({e.next_state for e in unchecked.entries if e.matches(c, nb, unchecked.symmetric)}) > 1 for c, nb in inputs
-    )
+def test_compiled_table_is_the_interpreter_and_its_conflict_check(drawn):
+    s, r, symmetric, entries = drawn
+    inputs = [(c, nb) for c in range(s) for nb in Rule("hold", s, r, symmetric, ()).admissible_neighborhoods()]
+    ambiguous = any(len({e.next_state for e in entries if e.matches(c, nb, symmetric)}) > 1 for c, nb in inputs)
     try:
-        rule = Rule(unchecked.name, s, r, unchecked.symmetric, unchecked.entries)
+        rule = Rule("drawn", s, r, symmetric, entries)
     except RuleConflictError as exc:
         assert ambiguous and "entries disagree on current=" in str(exc)
         return
     assert not ambiguous
     table = rule.lookup_table
+    assert not table.flags.writeable
+    assert table.dtype == np.uint8 and table.max() < s
     keys = [(c,) + tuple(s if v is EMPTY else v for v in nb.left + nb.right) for c, nb in inputs]
     assert [table[key] for key in keys] == [rule.next_state(c, nb) for c, nb in inputs]
     # Every slot no filament can present holds the current state.
@@ -214,7 +215,8 @@ def test_rule_rejects_more_states_than_uint8_holds():
     # so the bound must fire before the conflict check walks s*(s+1)**2 inputs.
     with pytest.raises(ValueError, match="> 255"):
         Rule("huge", 256, 1, symmetric=False, entries=(RuleEntry(0, (ANY,), (ANY,), 1),))
-    Rule("widest", 255, 1, symmetric=False, entries=(), validate=False)
+    widest = Rule("widest", 255, 1, symmetric=False, entries=())
+    assert widest.lookup_table.size == 255 * 256**2
 
 
 def test_rule_rejects_radius_whose_table_is_too_large():
@@ -223,7 +225,8 @@ def test_rule_rejects_radius_whose_table_is_too_large():
     with pytest.raises(ValueError, match="more than the limit"):
         Rule("wide", 2, 13, symmetric=False, entries=())
     assert 2 * 3**26 > MAX_TABLE_CELLS >= 2 * 3**14
-    Rule("widest", 2, 7, symmetric=False, entries=(), validate=False)
+    widest = Rule("widest", 2, 7, symmetric=False, entries=())
+    assert widest.lookup_table.size == 2 * 3**14
 
 
 def test_admissible_neighborhoods_count():
@@ -254,12 +257,13 @@ def test_lookup_table_agrees_with_interpreter(rule):
 def test_lookup_image_translates_flat_keys(rule):
     table = rule.lookup_table.ravel()
     keys = np.arange(table.size, dtype=np.uint8).tobytes()
-    assert len(rule.lookup_image) == 256
-    assert list(keys.translate(rule.lookup_image)) == table.tolist()
+    image = _Kernel(rule, 1, 1).image
+    assert len(image) == 256
+    assert list(keys.translate(image)) == table.tolist()
 
 
 def test_lookup_table_is_read_only():
-    # The translate image is a cached copy, so an edited table would step stale.
+    # A rule is checked once, when it is built, so an edited table would step unchecked.
     rule = clock_rule(2)
     with pytest.raises(ValueError, match="read-only"):
         rule.lookup_table[0, 0, 0] = 1
@@ -268,15 +272,28 @@ def test_lookup_table_is_read_only():
 
 
 def test_tables_past_256_cells_have_no_lookup_image():
-    assert Rule("hold", 3, 2, symmetric=False, entries=()).lookup_image is None
-    assert Rule("hold", 6, 1, symmetric=False, entries=()).lookup_image is None
-    assert Rule("hold", 5, 1, symmetric=False, entries=()).lookup_image is not None
+    assert _Kernel(Rule("hold", 3, 2, symmetric=False, entries=()), 1, 1).image is None
+    assert _Kernel(Rule("hold", 6, 1, symmetric=False, entries=()), 1, 1).image is None
+    assert _Kernel(Rule("hold", 5, 1, symmetric=False, entries=()), 1, 1).image is not None
 
 
 def test_next_state_at_an_end_cell():
     rule = automaton_i()
     nb = Neighborhood(1, (EMPTY,), (1,))
     assert rule.next_state(0, nb) == 2
+
+
+@pytest.mark.parametrize(
+    "rule, nbhd",
+    [
+        (bouncer_rule(), Neighborhood(1, (1,), (1,))),  # narrower than the rule's radius 2
+        (automaton_i(), Neighborhood(2, (0, 0), (1, 1))),  # wider than the rule's radius 1
+        (automaton_i(), Neighborhood(0, (), ())),
+    ],
+)
+def test_next_state_rejects_a_neighborhood_of_another_radius(rule, nbhd):
+    with pytest.raises(ValueError, match=rf"radius {nbhd.radius} .* radius {rule.radius}$"):
+        rule.next_state(0, nbhd)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))

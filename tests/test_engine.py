@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from filaments import engine
-from filaments.core import ANY, EMPTY, Filament, Neighborhood, Rule, RuleEntry, neighborhood_of
+from filaments.core import ANY, EMPTY, Filament, Rule, RuleEntry, neighborhood_of
 from filaments.engine import (
     TrajectoryReport,
     WaveType,
@@ -28,7 +28,6 @@ from filaments.engine import (
     successor_array,
     wave_type_of,
 )
-from filaments.population import PopulationConfig, run_population
 from filaments.rules import (
     automaton_i,
     automaton_ii,
@@ -79,34 +78,6 @@ def test_step_array_rejects_out_of_range_cells(cell, shape):
 def test_step_array_rejects_negative_cells(row):
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         step_array(automaton_i(), np.array([row], dtype=np.int64))
-
-
-def out_of_range_rule(s, r):
-    """A rule built unchecked whose one entry sends the middle cell of 1 0 0 to ``s``."""
-    left, right = (EMPTY,) * (r - 1) + (1,), (0,) + (EMPTY,) * (r - 1)
-    rule = Rule("unchecked", s, r, symmetric=False, entries=(RuleEntry(0, left, right, s),), validate=False)
-    assert rule.next_state(0, Neighborhood(r, left, right)) == s
-    return rule
-
-
-# (2, 1) has an 18-cell table, stepped by translate; (3, 2) has 768 cells, stepped by gather.
-@pytest.mark.parametrize("s, r", [(2, 1), (3, 2)])
-def test_out_of_range_table_values_raise_on_the_first_step(s, r):
-    rule = out_of_range_rule(s, r)
-    assert (rule.lookup_table.size <= 256) == (s == 2)
-    match = rf"outside \[0, {s}\)"
-    for row in ([1, 0, 0], [0, 0, 0]):  # the table is checked whether or not a row reads the bad value
-        with pytest.raises(ValueError, match=match):
-            step_array(rule, np.array([row], dtype=np.uint8))
-    with pytest.raises(ValueError, match=match):
-        detect_cycle(rule, Filament((1, 0, 0)))
-    with pytest.raises(ValueError, match=match):
-        run_trace(rule, Filament((1, 0, 0)), 1)
-    with pytest.raises(ValueError, match=match):
-        successor_array(rule, 3)
-    cfg = PopulationConfig(rule=rule, m=2, total_ticks=3, seed=1, n0=3, growth_interval=2)
-    with pytest.raises(ValueError, match=match):
-        run_population(cfg, initial_states=np.array([[1, 0, 0], [0, 0, 0]]))
 
 
 def test_step_array_returns_fresh_writable_arrays():

@@ -292,25 +292,20 @@ def test_scan_memory_stays_bounded_at_length_twenty():
 # -- witness columns -------------------------------------------------------------
 
 
-def reference_witness_tuple(members, owner, fields):
+def reference_witness_tuple(members, wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep):
     """The witnesses as search_type_a built them before the columns: a tuple
-    with one SearchWitness per member, from its fingerprint's shared fields."""
-    wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep = fields
-    shared = list(
-        zip(
+    with one SearchWitness per member, from the int64 rows it gathers."""
+    return tuple(
+        SearchWitness(index, n, format(state, f"0{n}b"), period, k_max, bool(trav), bool(sweep))
+        for index, n, state, period, k_max, trav, sweep in zip(
+            members.tolist(),
             wit_n.tolist(),
-            [format(s, f"0{n}b") for s, n in zip(wit_state.tolist(), wit_n.tolist())],
+            wit_state.tolist(),
             periods.tolist(),
             wit_kmax.tolist(),
-            wit_trav.astype(bool).tolist(),
-            wit_sweep.astype(bool).tolist(),
+            wit_trav.tolist(),
+            wit_sweep.tolist(),
         )
-    )
-    block = 1 << 14
-    return tuple(
-        SearchWitness(index, *shared[i])
-        for b in range(0, len(members), block)
-        for index, i in zip(members[b : b + block].tolist(), owner[b : b + block].tolist())
     )
 
 
@@ -327,15 +322,16 @@ def test_witnesses_match_the_reference_tuple(indices, kwargs):
     # The second case reaches length 11, past the n <= 10 of the default lengths.
     inputs = []
 
-    def recorded(*args):
-        inputs.append(witness_fields(*args))
-        return inputs[-1]
+    def recorded(*columns):
+        inputs.append(columns)
+        return witnesses(*columns)
 
-    witness_fields = search._witness_fields
+    witnesses = search.Witnesses
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_witness_fields", recorded)
+        mp.setattr(search, "Witnesses", recorded)
         verdict = search_type_a(rule_indices=indices, **kwargs)
     assert len(inputs) == 1
+    assert all(column.dtype == np.int64 for column in inputs[0])
     want = reference_witness_tuple(*inputs[0])
     assert [typed_fields(w) for w in verdict.witnesses] == [typed_fields(w) for w in want]
     assert [typed_fields(verdict.witnesses[i]) for i in range(len(want))] == [typed_fields(w) for w in want]

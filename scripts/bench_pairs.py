@@ -14,8 +14,9 @@ end-to-end metric in the change's BENCHMARK.json, the q1, median and q3 of
 each side and the number of pairs in which the change is better. Control
 workloads are paired the same way after the main pairs and kept under
 ``controls``, each with its own summary and pairs. The record is written to
-the current directory. Make the parent checkout with ``git clone``, so that
-its run headers carry its commit.
+the current directory, and the medians and wins of the main workload and of
+each control are printed one line per metric. Make the parent checkout with
+``git clone``, so that its run headers carry its commit.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def print_summary(label: str, summary: dict, pairs: int) -> None:
+    """One line per metric: both medians and the pairs the change wins."""
+    for name, row in summary.items():
+        print(f"{label} {name}: parent {row['parent']['median']:.6g}, change {row['change']['median']:.6g}, "
+              f"change better in {row['change_better_pairs']} of {pairs}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -117,9 +125,9 @@ def main(argv=None) -> int:
     with open(path, "w") as fp:
         json.dump(record, fp, indent=1)
         fp.write("\n")
-    for name, row in record["summary"].items():
-        print(f"{name}: parent {row['parent']['median']:.6g}, change {row['change']['median']:.6g}, "
-              f"change better in {row['change_better_pairs']} of {args.pairs}")
+    print_summary(args.workload, record["summary"], args.pairs)
+    for control in controls:
+        print_summary(f"control {control['workload']}", control["summary"], args.control_pairs)
     print(f"wrote {path}")
     return 0
 

@@ -290,11 +290,39 @@ def census(
 
 def count_accretions(class_at_n: np.ndarray, class_at_n1: np.ndarray, num_classes: int) -> np.ndarray:
     """(B, S) and (B, S*s) class arrays, appended digit fastest, to (B, k, k) int64 counts:
-    [b, a, d] counts the (state, digit) pairs of row b from class a to class d."""
+    [b, a, d] counts the (state, digit) pairs of row b from class a to class d.
+
+    Per target class d >= 1, each state's digits reaching d are counted with
+    uint8 adds over the s strided digit columns (s is at most 255, as for any
+    rule), then summed under each source class's mask. Class 0 is what
+    remains: row 0 and column 0 are the totals less the other entries, which
+    holds since every class is in [0, k). A bool class array is read as the
+    mask of class 1, as the hunt's are."""
     batch, total = class_at_n.shape
-    code = class_at_n.astype(np.int64)[:, :, None] * num_classes + class_at_n1.reshape(batch, total, -1)
-    code += num_classes**2 * np.arange(batch)[:, None, None]
-    return np.bincount(code.ravel(), minlength=batch * num_classes**2).reshape(batch, num_classes, num_classes)
+    digits = class_at_n1.reshape(batch, total, -1)
+    width = digits.shape[2]
+    if width > 255:
+        raise ValueError(f"{width} appended digits per state; at most 255")
+    masks = [_class_mask(class_at_n, a) for a in range(1, num_classes)]
+    counts = np.zeros((batch, num_classes, num_classes), dtype=np.int64)
+    for d in range(1, num_classes):
+        hit = _class_mask(digits, d).view(np.uint8)
+        hits = sum((hit[:, :, j] for j in range(1, width)), hit[:, :, 0])  # digits of each state in class d
+        counts[:, 0, d] = hits.sum(axis=1)
+        for a, mask in enumerate(masks, 1):
+            counts[:, a, d] = (hits * mask).sum(axis=1)
+    for a, mask in enumerate(masks, 1):
+        counts[:, a, 0] = width * np.count_nonzero(mask, axis=1)
+    counts[:, 0, 0] = width * total
+    # Row 0 holds column totals and column 0 row totals until the other entries come off.
+    counts[:, 0] -= counts[:, 1:].sum(axis=1)
+    counts[:, :, 0] -= counts[:, :, 1:].sum(axis=2)
+    return counts
+
+
+def _class_mask(classes: np.ndarray, c: int) -> np.ndarray:
+    """Where ``classes`` is class c; a bool class array is its own class-1 mask."""
+    return classes if classes.dtype == bool and c == 1 else classes == c
 
 
 def measure_accretion_matrix(

@@ -39,7 +39,7 @@ def _states_matrix(states: TraceLike) -> np.ndarray:
 def render_ascii(states: TraceLike) -> str:
     """One line per step, one digit per cell."""
     matrix = _states_matrix(states)
-    if matrix.max() > 9:
+    if matrix.min() < 0 or matrix.max() > 9:
         raise ValueError("ASCII rendering supports single-digit states only")
     return "\n".join("".join(str(int(v)) for v in row) for row in matrix) + "\n"
 
@@ -55,7 +55,7 @@ def pixel_value(state: int, num_states: int) -> int:
 def render_pgm(states: TraceLike, num_states: int) -> str:
     """Text PGM (P2) of the trace, maxval 255."""
     matrix = _states_matrix(states)
-    if matrix.max() >= num_states:
+    if matrix.min() < 0 or matrix.max() >= num_states:
         raise ValueError("state out of range for the declared state count")
     height, width = matrix.shape
     lines = ["P2", f"{width} {height}", "255"]

@@ -43,8 +43,8 @@ and a candidate with no live or no dead state at a probe length is dropped
 before the next length is built. The sweep family is one table of its 343
 valid slot triples (``_SWEEP_TRIPLES``), each triple one shared tuple mapped
 to its slot codes: enumeration builds every ``SweepParams`` from those
-tuples, validation of a triple is one lookup in the table, and encoding to
-slot codes takes two.
+tuples without checking them again, validation of a triple is one lookup in
+the table, and encoding to slot codes takes two.
 """
 
 from __future__ import annotations
@@ -661,7 +661,11 @@ class SweepParams:
 
     A ``bulk`` or ``end`` equal to one of the shared slot triples of
     ``_SWEEP_TRIPLES`` is valid at one lookup; any other goes through the
-    per-slot checks.
+    per-slot checks. The library's own objects made of those triples
+    (``enumerate_sweep_params`` and the hunt's viable rules) come from
+    ``_shared_params``, which sets both fields without running these checks:
+    every triple in the table was checked once, at import, by the rule that
+    builds it, so no check is skipped.
     """
 
     bulk: tuple[Optional[tuple[int, int]], ...]
@@ -686,16 +690,32 @@ class SweepParams:
                     raise ValueError("a listed transition must change the state")
 
 
+_set_bulk, _set_end = SweepParams.bulk.__set__, SweepParams.end.__set__
+
+
+def _shared_params(bulk: tuple, end: tuple) -> SweepParams:
+    """The SweepParams of two slot triples of ``_SWEEP_TRIPLES``, made without
+    ``__init__``: the table holds only triples checked at import, so the
+    object is valid by construction. The slot descriptors set the frozen fields."""
+    params = object.__new__(SweepParams)
+    _set_bulk(params, bulk)
+    _set_end(params, end)
+    return params
+
+
 def enumerate_sweep_params() -> Iterator[SweepParams]:
     """All 49**3 sweep parameter combinations, made of the shared slot triples.
 
     The order is the product over (bulk[0], end[0], bulk[1], end[1], bulk[2],
     end[2]); the triple of option k_c for each state c sits at 49*k0 + 7*k1 + k2.
+    Each object is made by ``_shared_params`` from two table triples, so it
+    equals, hashes and prints like ``SweepParams(bulk=..., end=...)`` of the
+    same triples, without the checked constructor's per-object cost.
     """
     triples = tuple(_SWEEP_TRIPLES)
     for b0, e0, b1, e1 in product(range(0, 343, 49), range(0, 343, 49), range(0, 49, 7), range(0, 49, 7)):
         for bulk, end in product(triples[b0 + b1 : b0 + b1 + 7], triples[e0 + e1 : e0 + e1 + 7]):
-            yield SweepParams(bulk=bulk, end=end)
+            yield _shared_params(bulk, end)
 
 
 def _sweep_slots(params: Sequence[SweepParams]) -> np.ndarray:
@@ -714,8 +734,7 @@ def _sweep_space_slots() -> np.ndarray:
 
 def _slot_params(picks: np.ndarray) -> SweepParams:
     """The SweepParams of one (2, 3) row of slot codes, made of the shared slot triples."""
-    bulk, end = (_TRIPLE_OF_CODES[row] for row in map(tuple, picks.tolist()))
-    return SweepParams(bulk=bulk, end=end)
+    return _shared_params(*(_TRIPLE_OF_CODES[row] for row in map(tuple, picks.tolist())))
 
 
 def _sweep_tables(picks: np.ndarray) -> np.ndarray:

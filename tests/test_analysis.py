@@ -339,3 +339,38 @@ def test_measured_accretion_matches_declared_matrix():
             num_states=3,
         )
         assert measured == liveness.growth.rows
+
+
+def reference_count_accretions(class_at_n, class_at_n1, num_classes):
+    """count_accretions as one bincount over per-row (class, class) codes: the oracle."""
+    batch, total = class_at_n.shape
+    code = class_at_n.astype(np.int64)[:, :, None] * num_classes + class_at_n1.reshape(batch, total, -1)
+    code += num_classes**2 * np.arange(batch)[:, None, None]
+    return np.bincount(code.ravel(), minlength=batch * num_classes**2).reshape(batch, num_classes, num_classes)
+
+
+@st.composite
+def accretion_classes(draw):
+    """Class arrays (batch, s**n) and (batch, s**(n + 1)) over k classes, integer or
+    bool (as the hunt's; a bool array holds only classes 0 and 1)."""
+    k, s, n, batch = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.int8, np.int64, bool]))
+    top = min(k - 1, 1) if dtype is bool else k - 1
+    at_n, at_n1 = (
+        np.array(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)), dtype=dtype).reshape(batch, -1)
+        for size in (batch * s**n, batch * s ** (n + 1))
+    )
+    return at_n, at_n1, k
+
+
+@given(accretion_classes())
+def test_count_accretions_matches_the_bincount_oracle(drawn):
+    at_n, at_n1, k = drawn
+    counts = analysis.count_accretions(at_n, at_n1, k)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, reference_count_accretions(at_n, at_n1, k))
+
+
+def test_count_accretions_rejects_more_than_255_digits_per_state():
+    with pytest.raises(ValueError, match="256 appended digits per state; at most 255"):
+        analysis.count_accretions(np.zeros((1, 1), bool), np.zeros((1, 256), bool), 2)

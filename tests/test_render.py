@@ -49,6 +49,16 @@ def test_render_pgm_range_check():
         render_pgm(np.array([[0, 3]]), num_states=3)
 
 
+@pytest.mark.parametrize("num_states", [2, 3, 5])
+def test_renderers_reject_negative_states(num_states):
+    # -1 is no state, though pixel_value's tuple lookup would still draw it.
+    matrix = np.array([[0, 1], [-1, num_states - 1]])
+    with pytest.raises(ValueError, match="^state out of range for the declared state count$"):
+        render_pgm(matrix, num_states)
+    with pytest.raises(ValueError, match="^ASCII rendering supports single-digit states only$"):
+        render_ascii(matrix)
+
+
 def test_decode_pgm_round_trip_on_trace():
     trace = run_trace(automaton_ii(), Filament.from_string("0000001"), 6)
     text = render_pgm(trace, num_states=3)

@@ -1,5 +1,5 @@
-"""The experiment scripts: each answers --help, and the bouncer derivation
-reproduces the catalogue bouncer."""
+"""The experiment scripts: each answers --help, the bouncer derivation
+reproduces the catalogue bouncer, and bench_pairs counts the pairs a change wins."""
 
 import importlib.util
 import os
@@ -40,3 +40,32 @@ def test_script_help_exits_cleanly(name):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
+
+
+def _bench_run(**values):
+    """A benchmark record as bench_pairs reads it: one value per end-to-end metric."""
+    return {"metrics": {name: {"value": value} for name, value in values.items()}}
+
+
+def test_bench_pairs_summary_counts_the_pairs_the_change_wins():
+    summarize = _load_script("bench_pairs").summarize
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "states_per_s", "better": "higher"}]
+    pairs = [
+        # The change wins both metrics, then loses both, then ties both.
+        {"parent": _bench_run(wall_s=2.0, states_per_s=10.0), "change": _bench_run(wall_s=1.0, states_per_s=12.0)},
+        {"parent": _bench_run(wall_s=1.0, states_per_s=12.0), "change": _bench_run(wall_s=1.5, states_per_s=11.0)},
+        {"parent": _bench_run(wall_s=1.0, states_per_s=9.0), "change": _bench_run(wall_s=1.0, states_per_s=9.0)},
+    ]
+    summary = summarize(pairs, metrics)
+    assert summary["wall_s"] == {
+        "parent": {"q1": 1.0, "median": 1.0, "q3": 1.5},
+        "change": {"q1": 1.0, "median": 1.0, "q3": 1.25},
+        "change_better_pairs": 1,
+    }
+    assert summary["states_per_s"]["parent"] == {"q1": 9.5, "median": 10.0, "q3": 11.0}
+    assert summary["states_per_s"]["change_better_pairs"] == 1
+    # One pair: each side's quartiles are its one value.
+    single = summarize(pairs[1:2], metrics)
+    assert single["wall_s"]["change"] == {"q1": 1.5, "median": 1.5, "q3": 1.5}
+    assert [single[name]["change_better_pairs"] for name in ("wall_s", "states_per_s")] == [0, 0]
+    assert [summarize(pairs[:1], metrics)[name]["change_better_pairs"] for name in ("wall_s", "states_per_s")] == [1, 1]

@@ -2,9 +2,10 @@
 
 import dataclasses
 import io
+import pickle
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -829,6 +830,46 @@ def test_sweep_enumeration_follows_the_slot_space_and_shares_triples():
     assert peak < 9_000_000  # one slotted object per parameter set; the triples are shared
     assert params == [search._slot_params(row) for row in search._sweep_space_slots()]
     assert len({id(p.bulk) for p in params}) == len({id(p.end) for p in params}) == 343
+
+
+def checked_sweep_params():
+    """The sweep space in enumeration order, each object from the public
+    constructor fed per-state options built here, not from the shared table:
+    the oracle for the objects the enumeration and _slot_params make without __init__."""
+    options = [[s for s in search._SWEEP_SLOTS if s is None or s[1] != c] for c in range(3)]
+    for b0, e0, b1, e1, b2, e2 in product(*(options[c] for c in (0, 0, 1, 1, 2, 2))):
+        yield SweepParams(bulk=(b0, b1, b2), end=(e0, e1, e2))
+
+
+def test_unchecked_sweep_params_are_the_checked_objects():
+    checked = list(checked_sweep_params())
+    enumerated = list(enumerate_sweep_params())
+    assert enumerated == checked
+    assert list(map(hash, enumerated)) == list(map(hash, checked))
+    assert list(map(repr, enumerated)) == list(map(repr, checked))
+    # Equal, and holding the very same field objects, so they also hash and print alike.
+    slotted = list(map(search._slot_params, search._sweep_space_slots()))
+    assert slotted == checked
+    assert all(s.bulk is e.bulk and s.end is e.end for s, e in zip(slotted, enumerated))
+
+
+def test_unchecked_sweep_params_pickle_replace_and_stay_frozen():
+    enumerated = next(islice(enumerate_sweep_params(), 54_321, None))
+    slotted = search._slot_params(search._sweep_space_slots()[54_321])
+    checked = next(islice(checked_sweep_params(), 54_321, None))
+    for params in (enumerated, slotted):
+        assert type(params) is SweepParams and not hasattr(params, "__dict__")
+        restored = pickle.loads(pickle.dumps(params))
+        assert restored == checked and hash(restored) == hash(checked)
+        assert dataclasses.replace(params) == checked
+        assert dataclasses.replace(params, end=(None,) * 3) == SweepParams(bulk=checked.bulk, end=(None,) * 3)
+        with pytest.raises(ValueError, match="a listed transition must change the state"):
+            dataclasses.replace(params, bulk=((0, 0), None, None))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.bulk = (None,) * 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del params.end
+        assert params == checked
 
 
 def test_sweep_rules_reproduce_the_catalogue():

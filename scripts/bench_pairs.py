@@ -5,8 +5,8 @@
         --pairs 10 --pr 24 --controls hunt scan dynamics --control-pairs 3 \\
         --note "what the change does"
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed 1 --seconds 20
---trace 0`` in both checkouts, one after the other, with the order alternating
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 20
+--trace 0`` in both checkouts, S from ``--seed`` (default 1), one after the other, with the order alternating
 from pair to pair. Both run under PYTHONDONTWRITEBYTECODE=1, so neither reads
 or writes a bytecode cache. The record each run leaves in its checkout's
 ``perfbench/out/`` is kept whole under ``pairs``. The summary gives, for each
@@ -29,29 +29,29 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-COMMAND = "python3 perfbench/run.py --workload {} --seed 1 --seconds 20 --trace 0"
+COMMAND = "python3 perfbench/run.py --workload {} --seed {} --seconds 20 --trace 0"
 
 
-def run_once(tree: str, workload: str) -> dict:
+def run_once(tree: str, workload: str, seed: int) -> dict:
     """One untraced benchmark run in ``tree``; returns the record it wrote."""
-    command = [sys.executable, *COMMAND.format(workload).split()[1:]]
+    command = [sys.executable, *COMMAND.format(workload, seed).split()[1:]]
     done = subprocess.run(command, cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(command)} failed in {tree}:\n{done.stderr}")
-    with open(os.path.join(tree, "perfbench", "out", f"{workload}-seed1-trace0.json")) as fp:
+    with open(os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")) as fp:
         return json.load(fp)
 
 
-def run_pairs(trees: dict, workload: str, pairs: int) -> list[dict]:
+def run_pairs(trees: dict, workload: str, pairs: int, seed: int) -> list[dict]:
     out = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         runs = {}
         for side in order:
             print(f"{workload} pair {i + 1}/{pairs}: {side}", file=sys.stderr, flush=True)
-            runs[side] = run_once(trees[side], workload)
-        out.append({"pair": i, "seed": 1, "order": list(order), **{s: runs[s] for s in SIDES}})
+            runs[side] = run_once(trees[side], workload, seed)
+        out.append({"pair": i, "seed": seed, "order": list(order), **{s: runs[s] for s in SIDES}})
     return out
 
 
@@ -88,6 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="number in the record's file name")
     parser.add_argument("--controls", nargs="*", default=[], help="control workloads, paired after the main ones")
     parser.add_argument("--control-pairs", type=int, default=1, help="pairs of each control workload")
+    parser.add_argument("--seed", type=int, default=1, help="seed of every run (default 1)")
     parser.add_argument("--note", default="", help="what the change does, for the record's 'change' field")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.control_pairs < 1:
@@ -96,15 +97,15 @@ def main(argv=None) -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fp:
         metrics = json.load(fp)["end_to_end"]
-    pairs = run_pairs(trees, args.workload, args.pairs)
+    pairs = run_pairs(trees, args.workload, args.pairs, args.seed)
     controls = []
     for workload in args.controls:
-        control = run_pairs(trees, workload, args.control_pairs)
-        controls.append({"workload": workload, "command": COMMAND.format(workload),
+        control = run_pairs(trees, workload, args.control_pairs, args.seed)
+        controls.append({"workload": workload, "command": COMMAND.format(workload, args.seed),
                          "summary": summarize(control, metrics), "pairs": control})
 
     header = pairs[0]["change"]["header"]
-    design = (f"{args.pairs} pairs, all at seed 1; each pair runs the parent tree and the change "
+    design = (f"{args.pairs} pairs, all at seed {args.seed}; each pair runs the parent tree and the change "
               "in turn, the order alternating from pair to pair; both trees run under "
               "PYTHONDONTWRITEBYTECODE=1, so without bytecode caches.")
     if controls:
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
                    f"run the same way after the {args.workload} pairs.")
     record = {
         "workload": args.workload,
-        "command": COMMAND.format(args.workload),
+        "command": COMMAND.format(args.workload, args.seed),
         "design": design,
         "host": f"{header['nproc']} cores ({header['cpu_model']}), Python {header['python']}, NumPy {header['numpy']}",
         "parent": pairs[0]["parent"]["header"]["git_sha"],

@@ -24,6 +24,7 @@ else. The law's promise holds from n=3 up.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -175,6 +176,7 @@ def liveness_of(rule: Rule) -> Optional[Liveness]:
 
 def parity_counts(n: int) -> tuple[int, int]:
     """Exact (odd, even) step-parity counts over all 3**n filaments."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n % 2 == 0:

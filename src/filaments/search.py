@@ -19,9 +19,12 @@ Left-right reflection R and the 0<->1 complement C, with RC, permute the
 fingerprints and the states of a filament together, so they split the
 fingerprints into 16,768 orbits (the ECA equivalence-class reduction of
 Wolfram 1983 and Li & Packard 1990). Each length is covered from every
-initial state, a set the group maps onto itself, so the scan simulates one
-representative per orbit and maps each member's results through its
-group element.
+initial state, a set the group maps onto itself, so the scan works per
+orbit from end to end: it simulates one representative per orbit, keeps
+flags, per-length rule counts and first witnesses per representative, and
+finds witnesses only for representatives that have none yet. At the end
+it lists the witness rules once, in rule order, and maps each one's
+witness from its representative through its group element.
 Successor tables come from per-length tables over the 256 values of each
 fingerprint byte, one per half window of the filament, which meet in the
 middle as in ``engine._successor_map``, so they stay small at every length.
@@ -415,9 +418,10 @@ def _state_images(n: int) -> np.ndarray:
 
 class _Orbits(NamedTuple):
     """The orbit representatives of a scan's fingerprints: ``reps`` holds the
-    distinct representatives, ascending, and, per fingerprint, ``rep_index``
-    the position of its representative in ``reps`` and ``element`` the group
-    element that carries the representative to it."""
+    distinct representatives, ascending, and, indexed by fingerprint,
+    ``rep_index`` the position of its representative in ``reps`` (for the
+    fingerprints whose orbit has a representative there) and ``element`` the
+    group element that carries the representative to it."""
 
     reps: np.ndarray
     rep_index: np.ndarray
@@ -427,27 +431,28 @@ class _Orbits(NamedTuple):
 def _orbit_groups(fps: np.ndarray) -> _Orbits:
     """The orbits of a scan's fingerprints; the same at every length."""
     rep_of, element_of = _fingerprint_orbits()
-    rep = rep_of[fps]
-    present = np.bincount(rep, minlength=1 << 16).astype(bool)
-    reps = np.flatnonzero(present).astype(np.uint16)
-    return _Orbits(reps, (np.cumsum(present) - 1)[rep], element_of[fps])
+    present = np.zeros(1 << 16, dtype=bool)
+    present[rep_of[fps]] = True
+    return _Orbits(np.flatnonzero(present).astype(np.uint16), (np.cumsum(present) - 1)[rep_of], element_of)
 
 
 def _scan_length(
-    fps: np.ndarray, n: int, k_a: int, orbits: Optional[_Orbits] = None
+    reps: np.ndarray, n: int, k_a: int, pending: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flag fingerprints with Type-A cycles at one length, over every length-n state.
+    """Flag orbit representatives with Type-A cycles at one length, over every length-n state.
 
-    Returns (has_type_a, has_travelling, has_sweeping, witness_state,
-    witness_k_max, witness_period) over the fps array; a fingerprint's
-    witness is sweeping exactly when it has a sweeping cycle. ``orbits`` is
-    ``_orbit_groups(fps)``, built here when not given.
+    Returns (has_type_a, has_travelling, has_sweeping), each (len(reps),),
+    and (witness_state, witness_k_max, witness_period), each (4, len(reps)):
+    row g holds the witness of the member g.rep, which is sweeping exactly
+    when the representative has a sweeping cycle. Witnesses are found only
+    for the representatives in the boolean mask ``pending``; every other
+    column holds the fill values (-1, 0, 0), as do the columns of
+    representatives without a Type-A cycle.
 
-    Only one fingerprint per orbit of the group (id, R, C, RC) is
-    simulated. Each element g permutes the states by pi_g and conjugates
-    the dynamics, succ_{g.fp}(pi_g(s)) = pi_g(succ_fp(s)), so cycles,
-    periods, step weights and changed-cell spans carry over and the three
-    flags are the representative's.
+    Each element g of the group (id, R, C, RC) permutes the states by pi_g
+    and conjugates the dynamics, succ_{g.fp}(pi_g(s)) = pi_g(succ_fp(s)), so
+    cycles, periods, step weights and changed-cell spans carry over and the
+    three flags of every member are the representative's.
 
     Every step of a Type-A cycle changes 1..k_a cells: a cycle of period 2
     or more changes a cell at every step, and a fixed point changes none.
@@ -472,13 +477,10 @@ def _scan_length(
     rows = max(1, _CHUNK_CELLS >> n)
     state_ids = np.arange(size, dtype=np.int64)
     perms = _state_images(n)
-    reps, rep_index, element = _orbit_groups(fps) if orbits is None else orbits
     # No step changes more than n cells, so a larger k_a keeps the same states;
     # capping it also keeps the span test's shift by k_a inside int64.
     k_a = min(k_a, n)
 
-    # Per representative: the three flags, and per group element g the
-    # witness state of g.rep, its k_max and its period.
     rep_ta, rep_trav, rep_sweep = np.zeros((3, len(reps)), dtype=bool)
     rep_state = np.full((4, len(reps)), -1, dtype=np.int64)
     rep_kmax = np.zeros((4, len(reps)), dtype=np.int8)
@@ -521,12 +523,16 @@ def _scan_length(
         rep_ta[ta] = True
         rep_trav[ta] = np.logical_or.reduceat(trav, starts)
         rep_sweep[ta] = best == 3
-        top = priority == np.repeat(best, np.diff(starts, append=len(row)))
+
+        # Witnesses: the top states of the pending rows only; priority 0 matches none.
+        need = pending[ta]
+        top = priority == np.repeat(np.where(need, best, 0), np.diff(starts, append=len(row)))
+        ta, row_need = ta[need], row[starts[need]]
         # keys[g]: row * 2**n + pi_g(state) of each top state; the smallest per
         # row is g.rep's witness, and pi_g of it the representative's state.
         keys = (row[top] << n) | perms[:, flat[top] & (size - 1)]
         first = np.minimum.reduceat(keys, np.flatnonzero(np.diff(row[top], prepend=-1)), axis=1) & (size - 1)
-        at_rep = (row[starts] << n) | np.take_along_axis(perms, first, axis=1)
+        at_rep = (row_need << n) | np.take_along_axis(perms, first, axis=1)
         rep_state[:, ta] = first
         rep_kmax[:, ta] = max_ham[np.searchsorted(flat, at_rep)]
         # Witnesses are cycle states, so every walk comes back; all go in lockstep.
@@ -537,27 +543,7 @@ def _scan_length(
             away &= cur != at_rep
         rep_period[:, ta] = period
 
-    return (
-        rep_ta[rep_index],
-        rep_trav[rep_index],
-        rep_sweep[rep_index],
-        rep_state[element, rep_index],
-        rep_kmax[element, rep_index],
-        rep_period[element, rep_index],
-    )
-
-
-def _witness_fields(fps: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the witness columns are gathered from: the interesting rule
-    indices with one of the fingerprints ``fps``, in rule order, and the
-    position in ``fps`` of each one's fingerprint."""
-    # A fingerprint's four indices differ in bits 8 and 17, the (empty, empty) entries.
-    fp = fps.astype(np.int64)
-    members = ((fp & 0xFF) | (fp & 0xFF00) << 1)[:, None] | [0, 1 << 8, 1 << 17, 0x20100]
-    owner = np.broadcast_to(np.arange(len(fps))[:, None], members.shape)[mask[members]]
-    members = members[mask[members]]
-    order = np.argsort(members)
-    return members[order], owner[order]
+    return rep_ta, rep_trav, rep_sweep, rep_state, rep_kmax, rep_period
 
 
 def search_type_a(
@@ -571,13 +557,15 @@ def search_type_a(
     fingerprint. ``rule_indices`` restricts the scan to a subset (still
     filtered to interesting rules); by default the whole space is scanned.
     Lengths above _MAX_TABLE_LENGTH, whose state space cannot be
-    materialized, are skipped and make the verdict incomplete.
+    materialized, are skipped and make the verdict incomplete. Lengths and
+    ``k_a`` must be integers.
     """
-    lengths = tuple(sorted(set(int(n) for n in lengths)))
+    lengths = tuple(sorted(set(map(operator.index, lengths))))
     if not lengths:
         raise ValueError("scan needs at least one length")
     if any(n < 2 for n in lengths):
         raise ValueError("scan lengths must be at least 2")
+    k_a = operator.index(k_a)
     if k_a < 1:
         raise ValueError("k_a must be at least 1: a Type-A cycle changes 1..k_a cells per step")
     mask = interesting_mask()
@@ -590,35 +578,41 @@ def search_type_a(
         restricted[chosen] = True
         mask &= restricted
         rules_total = len(chosen)
-    rules_per_fp = np.bincount(fingerprint16(np.flatnonzero(mask)), minlength=1 << 16)
-    fps = np.flatnonzero(rules_per_fp).astype(np.uint16)
-    rules_per_fp = rules_per_fp[fps]
-    orbits = _orbit_groups(fps)
+    # A rule index's bits are (end bit 17, high byte, end bit 8, low byte) of
+    # its fingerprint, so this view puts each fingerprint's rules on axes 0 and 2.
+    by_fp = mask.reshape(2, 256, 2, 256)
+    rules_per_fp = by_fp.sum(axis=(0, 2)).ravel()
+    fps = np.flatnonzero(rules_per_fp)
+    reps, rep_index, element = _orbit_groups(fps)
+    rules_per_rep = np.bincount(rep_index[fps], rules_per_fp[fps], len(reps)).astype(np.int64)
 
-    # Per fingerprint: Type-A, travelling and sweeping at any length, and the
-    # witness found at the first length with one (n, state, period, k_max,
-    # travelling, sweeping).
-    type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
-    witness = np.zeros((6, len(fps)), dtype=np.int64)
+    # Per representative: Type-A, travelling and sweeping at any length, and
+    # from the first length with one, per group element g, the witness of
+    # g.rep as (n, state, period, k_max, travelling, sweeping).
+    type_a, travelling, sweeping = np.zeros((3, len(reps)), dtype=bool)
+    witness = np.zeros((6, 4, len(reps)), dtype=np.int64)
     coverage, per_length = [], []
     for n in lengths:
         if n > _MAX_TABLE_LENGTH:
             coverage.append((n, "skipped"))
             continue
         coverage.append((n, "exhaustive"))
-        ta, trav, sweep, state, k_max, period = _scan_length(fps, n, k_a, orbits)
-        per_length.append((n, *(int(rules_per_fp[flags].sum()) for flags in (ta, trav, sweep))))
-        newly = ta & ~type_a
-        witness[:, newly] = np.stack([np.full(len(fps), n), state, period, k_max, trav, sweep])[:, newly]
+        ta, trav, sweep, state, k_max, period = _scan_length(reps, n, k_a, ~type_a)
+        per_length.append((n, *(int(rules_per_rep[flags].sum()) for flags in (ta, trav, sweep))))
         # Flags found at later lengths still count, but the stored witness
         # stays the first one.
+        newly = np.flatnonzero(ta & ~type_a)
+        witness[..., newly] = np.broadcast_arrays(n, *(f[..., newly] for f in (state, period, k_max, trav, sweep)))
         type_a |= ta
         travelling |= trav
         sweeping |= sweep
 
-    flagged = np.flatnonzero(type_a)
-    members, owner = _witness_fields(fps[flagged], mask)
-    owner = flagged[owner]  # each member's position in ``fps``
+    # The witness rules, in rule order, and each one's representative and element.
+    flagged = np.zeros(1 << 16, dtype=bool)
+    flagged[fps] = type_a[rep_index[fps]]
+    members = np.flatnonzero(by_fp & flagged.reshape(1, 256, 1, 256))
+    fp = fingerprint16(members)
+    rep, g = rep_index[fp], element[fp]
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
@@ -627,10 +621,12 @@ def search_type_a(
         rules_interesting=int(mask.sum()),
         fingerprints_simulated=len(fps),
         rules_with_type_a_cycle=len(members),
-        rules_with_travelling_type_a_cycle=int(travelling[owner].sum()),
-        rules_with_sweeping_type_a_cycle=int(sweeping[owner].sum()),
+        rules_with_travelling_type_a_cycle=int(rules_per_rep[travelling].sum()),
+        rules_with_sweeping_type_a_cycle=int(rules_per_rep[sweeping].sum()),
         per_length=tuple(per_length),
-        witnesses=Witnesses(members, *witness[:, owner]),
+        # Gathered column by column: over repeated scans, one (6, rules) int64
+        # block measured 5 MB more peak RSS.
+        witnesses=Witnesses(members, *(field[g, rep] for field in witness)),
         complete=all(kind == "exhaustive" for _, kind in coverage),
     )
 
@@ -889,7 +885,7 @@ def hunt_viable_3state(
     the next length, so longer lengths are built only for candidates still
     non-degenerate.
     """
-    ns = tuple(sorted(set(int(n) for n in ns)))
+    ns = tuple(sorted(set(map(operator.index, ns))))
     if len(ns) < 2:
         raise ValueError("need at least two probe lengths")
     if any(n < 2 for n in ns):

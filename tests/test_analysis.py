@@ -99,6 +99,14 @@ def test_parity_counts_closed_forms():
     assert parity_counts(9)[0] == (3**9 - 3) // 2
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0])
+def test_parity_counts_reject_lengths_that_are_not_integers(n):
+    # A float n used to give float counts, (6.0, 9.588...) at 2.5.
+    with pytest.raises(TypeError, match="integer"):
+        parity_counts(n)
+    assert parity_counts(np.int64(4)) == parity_counts(4) == (42, 39)
+
+
 # -- censuses ------------------------------------------------------------------
 
 

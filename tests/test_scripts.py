@@ -1,7 +1,9 @@
 """The experiment scripts: each answers --help, the bouncer derivation
-reproduces the catalogue bouncer, and bench_pairs counts the pairs a change wins."""
+reproduces the catalogue bouncer, and bench_pairs counts the pairs a change wins
+and runs the seed it is given."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +71,35 @@ def test_bench_pairs_summary_counts_the_pairs_the_change_wins():
     assert single["wall_s"]["change"] == {"q1": 1.5, "median": 1.5, "q3": 1.5}
     assert [single[name]["change_better_pairs"] for name in ("wall_s", "states_per_s")] == [0, 0]
     assert [summarize(pairs[:1], metrics)[name]["change_better_pairs"] for name in ("wall_s", "states_per_s")] == [1, 1]
+
+
+@pytest.mark.parametrize("argv, seed", [([], 1), (["--seed", "2"], 2)])
+def test_bench_pairs_runs_and_reads_the_seed_it_is_given(tmp_path, monkeypatch, argv, seed):
+    bench_pairs = _load_script("bench_pairs")
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "perfbench" / "out").mkdir(parents=True)
+    (trees["change"] / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "wall_s", "better": "lower"}]}')
+    commands = []
+
+    def fake_run(command, cwd, **kwargs):
+        # Each side leaves the record of the seed it ran under that seed's file name.
+        commands.append(command[1:])
+        seed_run = command[command.index("--seed") + 1]
+        header = {"nproc": 2, "cpu_model": "cpu", "python": "3", "numpy": "2", "git_sha": os.path.basename(cwd)}
+        record = {"header": header, "metrics": {"wall_s": {"value": 2.0 if cwd.endswith("parent") else 1.0}}}
+        with open(os.path.join(cwd, "perfbench", "out", f"scan-seed{seed_run}-trace0.json"), "w") as fp:
+            json.dump(record, fp)
+        return subprocess.CompletedProcess(command, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--workload", "scan",
+                      "--pairs", "2", "--pr", "0", "--controls", "scan", *argv])
+    command = f"python3 perfbench/run.py --workload scan --seed {seed} --seconds 20 --trace 0"
+    assert commands == [command.split()[1:]] * 6
+    record = json.loads((tmp_path / "BENCH_0_scan.json").read_text())
+    assert record["command"] == record["controls"][0]["command"] == command
+    assert record["design"].startswith(f"2 pairs, all at seed {seed}; ")
+    assert [pair["seed"] for pair in record["pairs"] + record["controls"][0]["pairs"]] == [seed] * 3
+    assert record["summary"]["wall_s"]["change_better_pairs"] == 2

@@ -276,6 +276,57 @@ def test_scan_travelling_flag_holds_for_any_k_a():
         search_type_a(lengths=(4,), k_a=0)
 
 
+def reference_search(indices, lengths, k_a):
+    """search_type_a's per-length counts, its Type-A, travelling and sweeping
+    counts over all lengths, and its witnesses, from reference_scan_length run
+    on every fingerprint and a witness kept from each rule's first length."""
+    members = np.unique(indices)
+    members = members[interesting_mask()[members]]
+    fps, owner = np.unique(fingerprint16(members), return_inverse=True)
+    fps = fps.astype(np.uint16)
+    type_a, travelling, sweeping = np.zeros((3, len(fps)), dtype=bool)
+    witness = np.zeros((6, len(fps)), dtype=np.int64)
+    per_length = []
+    for n in lengths:
+        ta, trav, sweep, state, k_max, period = reference_scan_length(fps, n, k_a)
+        per_length.append((n, *(int(flags[owner].sum()) for flags in (ta, trav, sweep))))
+        newly = ta & ~type_a
+        witness[:, newly] = np.stack([np.full(len(fps), n), state, period, k_max, trav, sweep])[:, newly]
+        type_a |= ta
+        travelling |= trav
+        sweeping |= sweep
+    hit = type_a[owner]
+    counts = tuple(int(flags[owner].sum()) for flags in (type_a, travelling, sweeping))
+    return tuple(per_length), counts, reference_witness_tuple(members[hit], *witness[:, owner[hit]])
+
+
+def test_scan_keeps_each_rule_s_first_witness_when_first_lengths_differ():
+    # Drawn rules with every setting of their (empty, empty) bits 8 and 17,
+    # so a fingerprint stands for up to four rules and its orbit for more.
+    drawn = np.random.default_rng(27).choice(RULE_SPACE_SIZE, size=120, replace=False)
+    indices = np.unique(drawn[:, None] & ~0x20100 | [0, 1 << 8, 1 << 17, 0x20100])
+    lengths, k_a = (2, 3, 4, 11), 3
+    verdict = search_type_a(lengths=lengths, k_a=k_a, rule_indices=indices)
+    per_length, counts, want = reference_search(indices, lengths, k_a)
+    assert verdict.per_length == per_length
+    assert [typed_fields(w) for w in verdict.witnesses] == [typed_fields(w) for w in want]
+    assert {w.n for w in verdict.witnesses} == set(lengths)
+    assert (verdict.rules_with_type_a_cycle, verdict.rules_with_travelling_type_a_cycle,
+            verdict.rules_with_sweeping_type_a_cycle) == counts
+    # Flags that first show at a later length count, yet leave the witness as it was.
+    assert counts[1] > sum(w.travelling for w in want)
+    assert verdict.fingerprints_simulated < len(indices)
+
+
+@pytest.mark.parametrize("kwargs", [{"lengths": [4.5]}, {"lengths": (4, 5.0)}, {"k_a": 2.5}, {"k_a": 2.0}])
+def test_scan_rejects_lengths_and_k_a_that_are_not_integers(kwargs):
+    # int() would scan n = 4 for 4.5; a float k_a used to fail inside the kernel.
+    with pytest.raises(TypeError, match="integer"):
+        search_type_a(rule_indices=[4039], **kwargs)
+    assert search_type_a(lengths=[np.int64(4)], k_a=np.int8(2), rule_indices=[4039]) == search_type_a(
+        lengths=(4,), rule_indices=[4039])
+
+
 def test_scan_memory_stays_bounded_at_length_twenty():
     # At n=20 a chunk is one 2**20-state row; a kernel that holds eight
     # such rows at once peaks near 410 MB on this call.
@@ -546,8 +597,18 @@ def reference_scan_length(fps, n, k_a, chunk_size=4096):
     return has_ta, has_trav, has_sweep, wit_state, wit_kmax, wit_period
 
 
+def per_fingerprint_scan(fps, n, k_a):
+    """The kernel's results at one length mapped to each fingerprint of ``fps``:
+    its representative's flags and, through its group element, its witness."""
+    reps, rep_index, element = search._orbit_groups(fps)
+    all_pending = np.ones(len(reps), dtype=bool)
+    has_ta, has_trav, has_sweep, state, k_max, period = search._scan_length(reps, n, k_a, all_pending)
+    rep, g = rep_index[fps], element[fps]
+    return has_ta[rep], has_trav[rep], has_sweep[rep], state[g, rep], k_max[g, rep], period[g, rep]
+
+
 def assert_scan_matches_reference(fps, n, k_a):
-    got = search._scan_length(fps, n, k_a)
+    got = per_fingerprint_scan(fps, n, k_a)
     want = reference_scan_length(fps, n, k_a)
     names = ("has_type_a", "has_travelling", "has_sweeping", "witness_state", "witness_k_max", "witness_period")
     assert len(got) == len(want) == len(names)
@@ -579,6 +640,26 @@ def test_scan_length_matches_the_reference_on_drawn_fingerprints(n, fps, k_a):
     assert_scan_matches_reference(np.array(sorted(fps), dtype=np.uint16), n, k_a)
 
 
+@given(
+    st.integers(2, 9),
+    st.dictionaries(st.integers(0, 0xFFFF), st.booleans(), min_size=1, max_size=12),
+    st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_length_finds_witnesses_only_for_pending_rows(n, drawn, k_a):
+    # The flags never depend on the mask; a pending row gets the witnesses of
+    # the unmasked run, and every other row the fill values.
+    reps = np.array(sorted(drawn), dtype=np.uint16)
+    pending = np.array([drawn[fp] for fp in sorted(drawn)])
+    full = search._scan_length(reps, n, k_a, np.ones(len(reps), dtype=bool))
+    masked = search._scan_length(reps, n, k_a, pending)
+    for f, m in zip(full[:3], masked[:3]):
+        assert m.dtype == f.dtype == bool and np.array_equal(m, f)
+    for f, m, fill in zip(full[3:], masked[3:], (-1, 0, 0)):
+        assert m.dtype == f.dtype and m.shape == f.shape == (4, len(reps))
+        assert np.array_equal(m, np.where(pending, f, fill))
+
+
 @pytest.mark.parametrize("k_a", [3, 4])
 @pytest.mark.parametrize("n", [2, 3])
 def test_scan_length_matches_the_reference_on_every_fingerprint(n, k_a):
@@ -586,7 +667,7 @@ def test_scan_length_matches_the_reference_on_every_fingerprint(n, k_a):
     # more than k_a positions, so sweeping holds without travelling.
     fps = np.arange(1 << 16, dtype=np.uint16)
     assert_scan_matches_reference(fps, n, k_a)
-    _, has_trav, has_sweep, _, _, _ = search._scan_length(fps, n, k_a)
+    _, has_trav, has_sweep, _, _, _ = per_fingerprint_scan(fps, n, k_a)
     assert (has_sweep & ~has_trav).any()
 
 
@@ -625,7 +706,7 @@ def test_scan_length_on_a_chunk_with_no_sparse_state(n, monkeypatch):
     fps = np.unique(np.concatenate([[IDENTITY_FP], drawn])).astype(np.uint16)
     for k_a in (1, 2):
         assert_scan_matches_reference(fps, n, k_a)
-    assert not search._scan_length(np.array([IDENTITY_FP], dtype=np.uint16), n, 2)[0].any()
+    assert not per_fingerprint_scan(np.array([IDENTITY_FP], dtype=np.uint16), n, 2)[0].any()
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -638,8 +719,8 @@ def test_scan_length_keeps_every_changing_state_when_k_a_reaches_n(n):
 def test_scan_length_with_a_huge_k_a_equals_k_a_of_n():
     # A k_a past int64's shift range must neither overflow nor change a flag.
     fps = np.unique(np.random.default_rng(80).integers(0, 1 << 16, size=2000)).astype(np.uint16)
-    huge = search._scan_length(fps, 4, 2**40)
-    for g, w in zip(huge, search._scan_length(fps, 4, 4)):
+    huge = per_fingerprint_scan(fps, 4, 2**40)
+    for g, w in zip(huge, per_fingerprint_scan(fps, 4, 4)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert huge[0].any() and huge[1].sum() == 0
     assert_scan_matches_reference(fps, 4, 2**40)
@@ -647,7 +728,7 @@ def test_scan_length_with_a_huge_k_a_equals_k_a_of_n():
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_scan_length_of_no_fingerprints(n):
-    got = search._scan_length(np.array([], dtype=np.uint16), n, 2)
+    got = per_fingerprint_scan(np.array([], dtype=np.uint16), n, 2)
     assert [(g.dtype, g.shape) for g in got] == [(np.dtype(d), (0,)) for d in (bool, bool, bool, np.int64, np.int8, np.int64)]
     assert_scan_matches_reference(np.array([], dtype=np.uint16), n, 2)
 
@@ -660,10 +741,10 @@ def test_scan_memory_stays_bounded_at_length_thirteen():
     reps = np.random.default_rng(13).choice(np.unique(rep_of), size=600, replace=False)
     fps = np.flatnonzero(np.isin(rep_of, reps)).astype(np.uint16)
     assert len(fps) == 2345
-    search._scan_length(fps[:1], 13, 2)  # fill the per-length caches
+    per_fingerprint_scan(fps[:1], 13, 2)  # fill the per-length caches
     tracemalloc.start()
     try:
-        has_ta = search._scan_length(fps, 13, 2)[0]
+        has_ta = per_fingerprint_scan(fps, 13, 2)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -732,21 +813,37 @@ def test_fingerprints_fall_into_16768_orbits():
 
 def test_scan_over_single_members_of_orbits_matches_a_per_fingerprint_run(monkeypatch):
     # One member from each of 60 orbits, mostly not the representative, so
-    # every witness is mapped back from a fingerprint outside the subset.
+    # every witness is mapped back from a fingerprint outside the subset. The
+    # per-fingerprint run makes every fingerprint its own representative, so
+    # it simulates each fingerprint of the subset under the identity.
     rep_of, _ = search._fingerprint_orbits()
+    identity = (np.arange(1 << 16, dtype=np.uint16), np.zeros(1 << 16, dtype=np.uint8))
+    scan_length = search._scan_length
+    simulated = []
+
+    def recorded(reps, *args):
+        simulated.append(reps)
+        return scan_length(reps, *args)
+
     rng = np.random.default_rng(9)
     reps = rng.choice(np.unique(rep_of), size=60, replace=False)
     members = search._fingerprint_images(reps)[np.arange(60) % 4, np.arange(60)]
     ends = rng.integers(0, 4, size=60)  # the (empty, empty) bits 8 and 17
     members = members.astype(np.int64)
     indices = ((members & 0xFF) | (members & 0xFF00) << 1 | (ends & 1) << 8 | (ends >> 1) << 17).tolist()
+    fps = np.unique(fingerprint16(np.array(indices)[interesting_mask()[indices]]))
     for kwargs in ({"lengths": (3, 4, 5, 6)}, {"lengths": (2, 4), "k_a": 3}):
         verdict = search_type_a(rule_indices=indices, **kwargs)
         found = fingerprint16([w.rule_index for w in verdict.witnesses])
         assert (rep_of[found] != found).any()
-        monkeypatch.setattr(search, "_scan_length", lambda fps, n, k_a, orbits: reference_scan_length(fps, n, k_a))
+        monkeypatch.setattr(search, "_fingerprint_orbits", lambda: identity)
+        monkeypatch.setattr(search, "_scan_length", recorded)
         assert search_type_a(rule_indices=indices, **kwargs) == verdict
         monkeypatch.undo()
+        assert verdict.fingerprints_simulated == len(fps)
+        assert len(simulated) == len(kwargs["lengths"])
+        assert all(np.array_equal(run, fps) for run in simulated)
+        simulated.clear()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -928,6 +1025,13 @@ def test_hunt_rejects_budget_and_seed_outside_the_sample(extra):
         hunt_viable_3state(ns=(2, 3), **extra)
     with pytest.raises(ValueError, match="^budget and seed only apply"):
         hunt_viable_3state(ns=(2, 3), candidates=[FIRST_SWEEP], **extra)
+
+
+@pytest.mark.parametrize("ns", [(4.7, 5.2), (4, 5.0)])
+def test_hunt_rejects_probe_lengths_that_are_not_integers(ns):
+    # int() would probe (4, 5) for (4.7, 5.2).
+    with pytest.raises(TypeError, match="integer"):
+        hunt_viable_3state(ns=ns, candidates=[FIRST_SWEEP])
 
 
 def test_hunt_result_report_lists_viable_rules():

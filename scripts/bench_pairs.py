@@ -2,7 +2,7 @@
 """Pair benchmark runs of two checkouts and write one BENCH_<pr>_<workload>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --workload census \\
-        --pairs 10 --pr 24 --controls hunt scan dynamics --control-pairs 3 \\
+        --pairs 10 --pr 24 --controls hunt scan dynamics \\
         --note "what the change does"
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 20
@@ -12,8 +12,9 @@ or writes a bytecode cache. The record each run leaves in its checkout's
 ``perfbench/out/`` is kept whole under ``pairs``. The summary gives, for each
 end-to-end metric in the change's BENCHMARK.json, the q1, median and q3 of
 each side and the number of pairs in which the change is better. Control
-workloads are paired the same way after the main pairs and kept under
-``controls``, each with its own summary and pairs. The record is written to
+workloads run as many pairs as the main workload, paired the same way after
+the main pairs, and are kept under ``controls``, each with its own summary and
+pairs. The record is written to
 the current directory, and the medians and wins of the main workload and of
 each control are printed one line per metric. Make the parent checkout with
 ``git clone``, so that its run headers carry its commit.
@@ -84,15 +85,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="the workload the record is about")
-    parser.add_argument("--pairs", type=int, required=True, help="pairs of the main workload")
+    parser.add_argument("--pairs", type=int, required=True, help="pairs of the main workload and of each control")
     parser.add_argument("--pr", required=True, help="number in the record's file name")
     parser.add_argument("--controls", nargs="*", default=[], help="control workloads, paired after the main ones")
-    parser.add_argument("--control-pairs", type=int, default=1, help="pairs of each control workload")
     parser.add_argument("--seed", type=int, default=1, help="seed of every run (default 1)")
     parser.add_argument("--note", default="", help="what the change does, for the record's 'change' field")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.control_pairs < 1:
-        parser.error("--pairs and --control-pairs must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fp:
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     pairs = run_pairs(trees, args.workload, args.pairs, args.seed)
     controls = []
     for workload in args.controls:
-        control = run_pairs(trees, workload, args.control_pairs, args.seed)
+        control = run_pairs(trees, workload, args.pairs, args.seed)
         controls.append({"workload": workload, "command": COMMAND.format(workload, args.seed),
                          "summary": summarize(control, metrics), "pairs": control})
 
@@ -109,8 +109,8 @@ def main(argv=None) -> int:
               "in turn, the order alternating from pair to pair; both trees run under "
               "PYTHONDONTWRITEBYTECODE=1, so without bytecode caches.")
     if controls:
-        design += (f" The controls are {args.control_pairs} pair(s) each of {', '.join(args.controls)}, "
-                   f"run the same way after the {args.workload} pairs.")
+        design += (f" The controls, {', '.join(args.controls)}, run as many pairs each, "
+                   f"the same way, after the {args.workload} pairs.")
     record = {
         "workload": args.workload,
         "command": COMMAND.format(args.workload, args.seed),
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         fp.write("\n")
     print_summary(args.workload, record["summary"], args.pairs)
     for control in controls:
-        print_summary(f"control {control['workload']}", control["summary"], args.control_pairs)
+        print_summary(f"control {control['workload']}", control["summary"], args.pairs)
     print(f"wrote {path}")
     return 0
 

@@ -45,6 +45,7 @@ from functools import cache
 
 import numpy as np
 
+from filaments import engine
 from filaments.engine import all_states_matrix, neighborhood_keys, state_ids
 from filaments.rules import bouncer_core_rule
 
@@ -91,22 +92,21 @@ def admissible_windows() -> list[int]:
 
 
 @cache
-def _length_setup(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window keys of every length-n state, and the bounce-cycle state ids."""
-    return neighborhood_keys(all_states_matrix(2, n), 2, 2), state_ids(cycle_states(n), 2)
+def _length_setup(n: int) -> np.ndarray:
+    """The bounce-cycle state ids at length n."""
+    return state_ids(cycle_states(n), 2)
 
 
 def nonconverging(table: np.ndarray, n: int) -> np.ndarray:
     """Ids of length-n states that never reach the bounce cycle.
 
-    The all-1's state is excluded for n >= 3, where it is provably frozen
-    by the pinned cycle windows; at n = 2 it is fixable and counted.
+    The engine's successor map of the flat table is walked onto its cycles
+    (2**n steps reach a cycle from every state). The all-1's state is
+    excluded for n >= 3, where it is provably frozen by the pinned cycle
+    windows; at n = 2 it is fixable and counted.
     """
-    keys, cycle_ids = _length_setup(n)
-    final = state_ids(table[keys], 2)
-    for _ in range(n):  # 2**n steps reach a cycle from every state
-        final = final[final]
-    ok = np.isin(final, cycle_ids)
+    final = engine._onto_cycles(engine._successor_map(table[None], 2, 2, n).ravel(), 2**n)
+    ok = np.isin(final, _length_setup(n))
     if n >= 3:
         ok[-1] = True
     return np.flatnonzero(~ok)

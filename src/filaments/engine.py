@@ -10,8 +10,8 @@ Cycles are further described by how many cells change per step. A cycle
 where every cell changes on every step is the busiest kind; a cycle where
 at most a small number of cells change per step (small relative to the
 filament length) moves sparse activity around an otherwise static
-background. ``wave_type_of`` names these "B" and "A", with everything in
-between reported as "mixed".
+background. ``detect_cycle`` reports these as ``WaveType`` kinds "B" and
+"A", with everything in between reported as "mixed".
 
 Every step goes through one private kernel (``_Kernel``), built for a rule
 and a ``(batch, n)`` shape. It holds the cells cell-major in a buffer whose
@@ -55,17 +55,14 @@ __all__ = [
     "WaveType",
     "all_states_matrix",
     "classify_functional_graph",
-    "count_steps",
     "default_horizon",
     "detect_cycle",
-    "hamming",
     "neighborhood_keys",
     "run_trace",
     "state_ids",
     "step",
     "step_array",
     "successor_array",
-    "wave_type_of",
 ]
 
 
@@ -230,18 +227,6 @@ def run_trace(rule: Rule, initial: Filament, steps: int) -> Trace:
     return Trace(rule.name, rows)
 
 
-def hamming(a: Filament, b: Filament) -> int:
-    """How many cell positions differ between two same-length filaments."""
-    if len(a) != len(b):
-        raise ValueError("filaments must have equal length")
-    return sum(1 for x, y in zip(a.cells, b.cells) if x != y)
-
-
-def count_steps(filament: Filament) -> int:
-    """Number of adjacent cell pairs holding different states."""
-    return sum(1 for x, y in zip(filament.cells, filament.cells[1:]) if x != y)
-
-
 def default_horizon(n: int) -> int:
     """Step budget scaled to filament length."""
     return 50 * n + 100
@@ -262,24 +247,10 @@ class WaveType:
     k_max: int
 
 
-def wave_type_of(cycle_states: tuple[Filament, ...], k_a: int = 2) -> WaveType:
-    """Classify the activity pattern of one full cycle.
-
-    ``cycle_states`` lists the configurations of the cycle in order; the
-    step from the last back to the first is included. ``k_a`` is the
-    largest per-step change count still considered sparse.
-    """
-    if not cycle_states:
-        raise ValueError("cycle must contain at least one state")
-    diffs = [
-        hamming(cycle_states[i], cycle_states[(i + 1) % len(cycle_states)])
-        for i in range(len(cycle_states))
-    ]
-    return _wave_type(diffs, len(cycle_states[0]), k_a)
-
-
 def _wave_type(changes: list[int], n: int, k_a: int) -> WaveType:
-    """``WaveType`` of a cycle from the changed-cell count of each of its steps."""
+    """``WaveType`` of a cycle of length-n states from the changed-cell count of
+    each of its steps, the step back to its first state included; ``k_a`` is
+    the largest per-step count still considered sparse."""
     k_max = max(changes)
     if min(changes) == n:
         return WaveType("B", k_max)

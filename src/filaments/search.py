@@ -46,8 +46,11 @@ and a candidate with no live or no dead state at a probe length is dropped
 before the next length is built. The sweep family is one table of its 343
 valid slot triples (``_SWEEP_TRIPLES``), each triple one shared tuple mapped
 to its slot codes: enumeration builds every ``SweepParams`` from those
-tuples without checking them again, validation of a triple is one lookup in
-the table, and encoding to slot codes takes two.
+tuples without checking them again, and encoding to slot codes takes two
+lookups. The public constructor checks each slot once. The hunt's dense
+tables are planes of ``sweep_rule``'s compiled ``Rule.lookup_table``, built
+once per process for the 3 x 49 (state, bulk slot, end slot) choices
+(``_sweep_planes``) and gathered per candidate.
 """
 
 from __future__ import annotations
@@ -588,9 +591,10 @@ def search_type_a(
 
     # Per representative: Type-A, travelling and sweeping at any length, and
     # from the first length with one, per group element g, the witness of
-    # g.rep as (n, state, period, k_max, travelling, sweeping).
+    # g.rep as (n, state, period, k_max, travelling, sweeping), each (4, reps)
+    # column in its Witnesses dtype, so every gather below is narrow.
     type_a, travelling, sweeping = np.zeros((3, len(reps)), dtype=bool)
-    witness = np.zeros((6, 4, len(reps)), dtype=np.int64)
+    witness = tuple(np.zeros((4, len(reps)), dtype) for dtype in Witnesses._DTYPES[1:])
     coverage, per_length = [], []
     for n in lengths:
         if n > _MAX_TABLE_LENGTH:
@@ -602,7 +606,9 @@ def search_type_a(
         # Flags found at later lengths still count, but the stored witness
         # stays the first one.
         newly = np.flatnonzero(ta & ~type_a)
-        witness[..., newly] = np.broadcast_arrays(n, *(f[..., newly] for f in (state, period, k_max, trav, sweep)))
+        witness[0][:, newly] = n
+        for column, field in zip(witness[1:], (state, period, k_max, trav, sweep)):
+            column[:, newly] = field[..., newly]
         type_a |= ta
         travelling |= trav
         sweeping |= sweep
@@ -610,7 +616,7 @@ def search_type_a(
     # The witness rules, in rule order, and each one's representative and element.
     flagged = np.zeros(1 << 16, dtype=bool)
     flagged[fps] = type_a[rep_index[fps]]
-    members = np.flatnonzero(by_fp & flagged.reshape(1, 256, 1, 256))
+    members = np.flatnonzero(by_fp & flagged.reshape(1, 256, 1, 256)).astype(np.uint32)
     fp = fingerprint16(members)
     rep, g = rep_index[fp], element[fp]
     return SearchVerdict(
@@ -626,7 +632,7 @@ def search_type_a(
         per_length=tuple(per_length),
         # Gathered column by column: over repeated scans, one (6, rules) int64
         # block measured 5 MB more peak RSS.
-        witnesses=Witnesses(members, *(field[g, rep] for field in witness)),
+        witnesses=Witnesses(members, *(column[g, rep] for column in witness)),
         complete=all(kind == "exhaustive" for _, kind in coverage),
     )
 
@@ -637,12 +643,12 @@ def search_type_a(
 # Slot code i of a bulk or end transition: None at 0, else the (v, w) or (u, z) pair i - 1.
 _SWEEP_SLOTS = (None,) + tuple(product(range(3), range(3)))
 
-# The 343 valid (state 0, state 1, state 2) slot triples, whose listed transitions change
-# the state, in enumeration order: each one shared tuple, mapped to its slot codes.
-_SWEEP_TRIPLES = {
-    tuple(_SWEEP_SLOTS[i] for i in codes): codes
-    for codes in product(*([i for i, s in enumerate(_SWEEP_SLOTS) if s is None or s[1] != c] for c in range(3)))
-}
+# The slot codes valid at each state c: None, or a transition that changes c.
+_STATE_SLOTS = tuple([i for i, s in enumerate(_SWEEP_SLOTS) if s is None or s[1] != c] for c in range(3))
+
+# The 343 valid (state 0, state 1, state 2) slot triples, in enumeration order:
+# each one shared tuple, mapped to its slot codes.
+_SWEEP_TRIPLES = {tuple(_SWEEP_SLOTS[i] for i in codes): codes for codes in product(*_STATE_SLOTS)}
 _TRIPLE_OF_CODES = dict(zip(_SWEEP_TRIPLES.values(), _SWEEP_TRIPLES))
 
 
@@ -655,35 +661,35 @@ class SweepParams:
     transition "(c, {empty, u}) -> z"; None omits the transition. Both
     target states must differ from c. Everything unlisted holds.
 
-    A ``bulk`` or ``end`` equal to one of the shared slot triples of
-    ``_SWEEP_TRIPLES`` is valid at one lookup; any other goes through the
-    per-slot checks. The library's own objects made of those triples
+    The constructor checks every slot, then stores ``bulk`` and ``end`` as
+    tuples of None or (int, int) pairs, so an object made from lists or NumPy
+    integers equals, hashes, prints and hunts as its tuple twin; a state that
+    is not an integer raises ``TypeError``. The library's own objects
     (``enumerate_sweep_params`` and the hunt's viable rules) come from
-    ``_shared_params``, which sets both fields without running these checks:
-    every triple in the table was checked once, at import, by the rule that
-    builds it, so no check is skipped.
+    ``_shared_params``, which sets both fields to triples of ``_SWEEP_TRIPLES``
+    without running these checks: every triple in the table is valid by
+    construction, so no check is skipped.
     """
 
     bulk: tuple[Optional[tuple[int, int]], ...]
     end: tuple[Optional[tuple[int, int]], ...]
 
     def __post_init__(self) -> None:
-        try:
-            if self.bulk in _SWEEP_TRIPLES and self.end in _SWEEP_TRIPLES:
-                return
-        except TypeError:  # an unhashable slot (a list) takes the checks below
-            pass
         if len(self.bulk) != 3 or len(self.end) != 3:
             raise ValueError("bulk and end must have one slot per state")
+        slots = []  # bulk[0], end[0], bulk[1], ...
         for c in range(3):
             for slot in (self.bulk[c], self.end[c]):
-                if slot is None:
-                    continue
-                v, w = slot
-                if not (0 <= v < 3 and 0 <= w < 3):
-                    raise ValueError("transition states must be in 0..2")
-                if w == c:
-                    raise ValueError("a listed transition must change the state")
+                if slot is not None:
+                    v, w = slot
+                    if not (0 <= v < 3 and 0 <= w < 3):
+                        raise ValueError("transition states must be in 0..2")
+                    if w == c:
+                        raise ValueError("a listed transition must change the state")
+                    slot = (operator.index(v), operator.index(w))
+                slots.append(slot)
+        object.__setattr__(self, "bulk", tuple(slots[0::2]))
+        object.__setattr__(self, "end", tuple(slots[1::2]))
 
 
 _set_bulk, _set_end = SweepParams.bulk.__set__, SweepParams.end.__set__
@@ -691,8 +697,9 @@ _set_bulk, _set_end = SweepParams.bulk.__set__, SweepParams.end.__set__
 
 def _shared_params(bulk: tuple, end: tuple) -> SweepParams:
     """The SweepParams of two slot triples of ``_SWEEP_TRIPLES``, made without
-    ``__init__``: the table holds only triples checked at import, so the
-    object is valid by construction. The slot descriptors set the frozen fields."""
+    ``__init__``: the table holds only valid triples, built at import from
+    ``_STATE_SLOTS`` as tuples of int pairs, so the object is the one the
+    checked constructor would make. The slot descriptors set the frozen fields."""
     params = object.__new__(SweepParams)
     _set_bulk(params, bulk)
     _set_end(params, end)
@@ -733,21 +740,28 @@ def _slot_params(picks: np.ndarray) -> SweepParams:
     return _shared_params(*(_TRIPLE_OF_CODES[row] for row in map(tuple, picks.tolist())))
 
 
+@cache
+def _sweep_planes() -> np.ndarray:
+    """Read-only (3, 10, 10, 4, 4) uint8: [c, i, j] is plane c of the compiled
+    ``sweep_rule`` table with bulk slot code i and end slot code j at state c.
+
+    Only the 3 x 49 entries whose codes are valid at their state
+    (``_STATE_SLOTS``) are built, from 49 rules that each take the a-th valid
+    bulk slot and the b-th valid end slot at every state; the other entries
+    stay 0 and are never indexed."""
+    planes = np.zeros((3, len(_SWEEP_SLOTS), len(_SWEEP_SLOTS), 4, 4), dtype=np.uint8)
+    for a, b in product(range(7), repeat=2):
+        bulk, end = (tuple(slots[k] for slots in _STATE_SLOTS) for k in (a, b))
+        rule = sweep_rule(SweepParams(_TRIPLE_OF_CODES[bulk], _TRIPLE_OF_CODES[end]))
+        planes[np.arange(3), bulk, end] = rule.lookup_table
+    planes.flags.writeable = False
+    return planes
+
+
 def _sweep_tables(picks: np.ndarray) -> np.ndarray:
     """Dense (len(picks), 3, 4, 4) next-state tables of (len(picks), 2, 3) slot
-    indices, code 3 for the empty boundary."""
-    # planes[c, i, j]: the (4, 4) plane of state c under bulk slot i and end slot j.
-    planes = np.empty((3, len(_SWEEP_SLOTS), len(_SWEEP_SLOTS), 4, 4), dtype=np.uint8)
-    for c, (i, bulk), (j, end) in product(range(3), enumerate(_SWEEP_SLOTS), enumerate(_SWEEP_SLOTS)):
-        plane = planes[c, i, j]
-        plane[:] = c
-        if bulk is not None:
-            v, w = bulk
-            plane[v, 0:3] = plane[0:3, v] = w
-        if end is not None:
-            u, z = end
-            plane[3, u] = plane[u, 3] = z
-    return planes[np.arange(3), picks[:, 0], picks[:, 1]]
+    codes, code 3 for the empty boundary: ``sweep_rule``'s lookup tables."""
+    return _sweep_planes()[np.arange(3), picks[:, 0], picks[:, 1]]
 
 
 def sweep_rule(params: SweepParams, name: str = "sweep-candidate") -> Rule:

@@ -18,9 +18,14 @@ from filaments.analysis import (
     parity_counts,
 )
 from filaments.core import Filament
-from filaments.engine import all_states_matrix, count_steps, detect_cycle
+from filaments.engine import all_states_matrix, detect_cycle
 from filaments.population import PopulationConfig
 from filaments.rules import automaton_i, automaton_ii, bouncer_rule, clock_rule, load_rule, serialize_rule
+
+
+def count_steps(filament):
+    """Number of adjacent cell pairs holding different states."""
+    return sum(1 for x, y in zip(filament.cells, filament.cells[1:]) if x != y)
 
 
 # -- predictors ----------------------------------------------------------------

@@ -16,17 +16,14 @@ from filaments.engine import (
     _successor_map,
     all_states_matrix,
     classify_functional_graph,
-    count_steps,
     default_horizon,
     detect_cycle,
-    hamming,
     neighborhood_keys,
     run_trace,
     state_ids,
     step,
     step_array,
     successor_array,
-    wave_type_of,
 )
 from filaments.rules import (
     automaton_i,
@@ -192,16 +189,10 @@ def test_trace_holds_its_rows_packed_and_compares_by_value():
     assert engine.Trace("other", trace.rows) != trace  # same rows, another name
 
 
-def test_hamming_and_count_steps():
-    a = Filament.from_string("0120")
-    b = Filament.from_string("0210")
-    assert hamming(a, b) == 2
-    assert hamming(a, a) == 0
-    with pytest.raises(ValueError):
-        hamming(a, Filament.from_string("01"))
-    assert count_steps(Filament.from_string("0120")) == 3
-    assert count_steps(Filament.from_string("0000")) == 0
-    assert count_steps(Filament.from_string("7")) == 0
+def hamming(a, b):
+    """How many cell positions differ between two same-length filaments."""
+    assert len(a) == len(b)
+    return sum(1 for x, y in zip(a.cells, b.cells) if x != y)
 
 
 def test_wave_type_distinguishes_kinds():
@@ -216,16 +207,20 @@ def test_wave_type_distinguishes_kinds():
     assert report.wave.k_max == 1
 
 
-def test_wave_type_of_rejects_empty_cycle():
-    with pytest.raises(ValueError):
-        wave_type_of(())
+def reference_wave_type(cycle, k_a):
+    """The ``WaveType`` of a cycle of filaments, from the Hamming distance of each
+    step, the step from the last state back to the first included."""
+    return engine._wave_type([hamming(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])], len(cycle[0]), k_a)
 
 
 def test_wave_type_mixed_band():
     # Period-2 flip where 2 of 3 cells change: neither sparse (k_a=1) nor full.
-    states = (Filament.from_string("001"), Filament.from_string("100"))
-    assert wave_type_of(states, k_a=1).kind == "mixed"
-    assert wave_type_of(states, k_a=2).kind == "A"
+    states = [Filament.from_string("001"), Filament.from_string("100")]
+    assert reference_wave_type(states, k_a=1) == WaveType("mixed", 2)
+    assert reference_wave_type(states, k_a=2) == WaveType("A", 2)
+    # Every cell changes at every step: kind B whatever k_a; k_a >= n is never sparse.
+    assert engine._wave_type([3, 3], 3, k_a=1) == engine._wave_type([3, 3], 3, k_a=5) == WaveType("B", 3)
+    assert engine._wave_type([1, 2], 2, k_a=2) == WaveType("mixed", 2)
 
 
 def test_detect_cycle_quiescent():
@@ -283,7 +278,7 @@ def reference_detect_cycle(rule, initial, horizon=None, k_a=2):
             period = t - start
             if period == 1:
                 return TrajectoryReport("quiescent", start, 1, None, start, horizon, 0)
-            wave = wave_type_of(tuple(history[start:]), k_a=k_a)
+            wave = reference_wave_type(history[start:], k_a)
             return TrajectoryReport("cyclic", start, period, wave, None, horizon, wave.k_max)
         seen[cells] = t
         history.append(Filament(cells))

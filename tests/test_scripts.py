@@ -97,9 +97,9 @@ def test_bench_pairs_runs_and_reads_the_seed_it_is_given(tmp_path, monkeypatch, 
     bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--workload", "scan",
                       "--pairs", "2", "--pr", "0", "--controls", "scan", *argv])
     command = f"python3 perfbench/run.py --workload scan --seed {seed} --seconds 20 --trace 0"
-    assert commands == [command.split()[1:]] * 6
+    assert commands == [command.split()[1:]] * 8
     record = json.loads((tmp_path / "BENCH_0_scan.json").read_text())
     assert record["command"] == record["controls"][0]["command"] == command
     assert record["design"].startswith(f"2 pairs, all at seed {seed}; ")
-    assert [pair["seed"] for pair in record["pairs"] + record["controls"][0]["pairs"]] == [seed] * 3
+    assert [pair["seed"] for pair in record["pairs"] + record["controls"][0]["pairs"]] == [seed] * 4
     assert record["summary"]["wall_s"]["change_better_pairs"] == 2

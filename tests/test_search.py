@@ -346,7 +346,7 @@ def test_scan_memory_stays_bounded_at_length_twenty():
 
 def reference_witness_tuple(members, wit_n, wit_state, periods, wit_kmax, wit_trav, wit_sweep):
     """The witnesses as search_type_a built them before the columns: a tuple
-    with one SearchWitness per member, from the int64 rows it gathers."""
+    with one SearchWitness per member, from the columns it gathers."""
     return tuple(
         SearchWitness(index, n, format(state, f"0{n}b"), period, k_max, bool(trav), bool(sweep))
         for index, n, state, period, k_max, trav, sweep in zip(
@@ -374,16 +374,19 @@ def test_witnesses_match_the_reference_tuple(indices, kwargs):
     # The second case reaches length 11, past the n <= 10 of the default lengths.
     inputs = []
 
-    def recorded(*columns):
-        inputs.append(columns)
-        return witnesses(*columns)
+    class Recorded(search.Witnesses):
+        __slots__ = ()
 
-    witnesses = search.Witnesses
+        def __init__(self, *columns):
+            inputs.append(columns)
+            super().__init__(*columns)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "Witnesses", recorded)
+        mp.setattr(search, "Witnesses", Recorded)
         verdict = search_type_a(rule_indices=indices, **kwargs)
     assert len(inputs) == 1
-    assert all(column.dtype == np.int64 for column in inputs[0])
+    # Each column arrives in its own dtype, so no gather is wider than the column it fills.
+    assert [column.dtype for column in inputs[0]] == list(map(np.dtype, search.Witnesses._DTYPES))
     want = reference_witness_tuple(*inputs[0])
     assert [typed_fields(w) for w in verdict.witnesses] == [typed_fields(w) for w in want]
     assert [typed_fields(verdict.witnesses[i]) for i in range(len(want))] == [typed_fields(w) for w in want]
@@ -873,8 +876,8 @@ def test_sweep_param_enumeration_size():
 
 
 def test_sweep_params_validation():
-    # Lists, NumPy ints and wrong lengths miss the table and take the explicit checks.
-    assert SweepParams(bulk=[(1, 2), None, None], end=(None, [0, 2], None)).bulk == [(1, 2), None, None]
+    # Lists and NumPy ints are checked slot by slot and stored as tuples of ints.
+    assert SweepParams(bulk=[(1, 2), None, None], end=(None, [0, 2], None)).bulk == ((1, 2), None, None)
     assert SweepParams(bulk=((np.int64(1), np.int64(2)), None, None), end=(None,) * 3) == SweepParams(
         bulk=((1, 2), None, None), end=(None,) * 3
     )
@@ -909,12 +912,35 @@ def test_sweep_params_table_accepts_exactly_the_per_slot_rule():
     for triple in product(slots, repeat=3):
         for bulk, end in ((triple, valid), (valid, triple)):
             if _slot_triple_is_valid(triple):
-                assert SweepParams(bulk=bulk, end=end).bulk is bulk
+                assert SweepParams(bulk=bulk, end=end).bulk == bulk
                 accepted += 1
             else:
                 with pytest.raises(ValueError):
                     SweepParams(bulk=bulk, end=end)
     assert accepted == 2 * 7**3 == 2 * len(search._SWEEP_TRIPLES)
+
+
+def test_sweep_params_store_slots_as_tuples_of_ints():
+    # Lists and NumPy ints are stored as the tuple twin's slots, so the object
+    # equals, hashes, prints and hunts like it.
+    as_lists = SweepParams(bulk=[list(slot) for slot in FIRST_SWEEP.bulk], end=list(FIRST_SWEEP.end))
+    as_numpy = SweepParams(bulk=tuple(map(tuple, np.array(FIRST_SWEEP.bulk))), end=FIRST_SWEEP.end)
+    for params in (as_lists, as_numpy):
+        assert params == FIRST_SWEEP and hash(params) == hash(FIRST_SWEEP) and repr(params) == repr(FIRST_SWEEP)
+        assert all(type(v) is int for slot in params.bulk + params.end if slot is not None for v in slot)
+        assert hunt_viable_3state(candidates=[params]) == hunt_viable_3state(candidates=[FIRST_SWEEP])
+    # dataclasses.replace runs the same constructor, so it stores tuples too.
+    replaced = dataclasses.replace(SECOND_SWEEP, end=[None, [np.int8(1), 2], (0, 1)])
+    assert replaced == SECOND_SWEEP and type(replaced.end[1]) is tuple and type(replaced.end[1][0]) is int
+
+
+@pytest.mark.parametrize("slot", [(2.5, 1), (1, 2.0), ("1", 2), (np.float64(1), 2)])
+def test_sweep_params_reject_states_that_are_not_integers(slot):
+    # A float once passed the range checks and failed in the hunt with KeyError.
+    with pytest.raises(TypeError):
+        SweepParams(bulk=(slot, None, None), end=(None,) * 3)
+    with pytest.raises(TypeError):
+        SweepParams(bulk=(None,) * 3, end=(slot, None, None))
 
 
 def test_sweep_enumeration_follows_the_slot_space_and_shares_triples():
@@ -1417,6 +1443,31 @@ def test_sweep_tables_match_the_scalar_builder(sweep_subset):
     tables = search._sweep_tables(search._sweep_slots(sweep_subset))
     assert tables.dtype == np.uint8
     assert np.array_equal(tables, np.stack([reference_sweep_table(p) for p in sweep_subset]))
+    # The subset ends with the two catalogue sweeps, whose tables are the catalogue automata's.
+    assert np.array_equal(tables[-2:], [automaton_i().lookup_table, automaton_ii().lookup_table])
+
+
+def test_sweep_planes_are_read_only_and_built_once(monkeypatch):
+    built = []
+
+    def counted(params, *args):
+        built.append(params)
+        return sweep_rule(params, *args)
+
+    monkeypatch.setattr(search, "sweep_rule", counted)
+    search._sweep_planes.cache_clear()
+    try:
+        for _ in range(2):
+            hunt_viable_3state(ns=(2, 3), candidates=[FIRST_SWEEP, SECOND_SWEEP])
+        planes = search._sweep_planes()
+        assert search._sweep_planes() is planes
+    finally:
+        search._sweep_planes.cache_clear()
+    # One compiled rule per (bulk option, end option), each covering all three states.
+    assert len(built) == len(set(built)) == 49
+    assert planes.shape == (3, 10, 10, 4, 4) and not planes.flags.writeable
+    with pytest.raises(ValueError):
+        planes[0, 0, 0, 0, 0] = 1
 
 
 def test_sweep_space_slots_follow_the_enumeration(sweep_subset):

@@ -22,9 +22,10 @@ Protocol:
    drain; an isolated 0 claims the 1 to its right, so it drifts right), then
    greedily repair single outputs to minimize the number of length-n states
    that fail to reach the bounce cycle, for n from 2 up to --max-verify.
-3. Report the frozen completion as RuleEntry code ready to paste into
-   rules.py, plus the verification summary: convergence counts per length
-   and cycle preservation over the protected range.
+3. Report the verification summary (convergence counts per length and
+   cycle preservation over the protected range), then the completion's
+   rows in the rule-file text format, in window order, as they follow the
+   core rows in src/filaments/data/bouncer.rule.
 
 For every length n >= 3 the all-1's state is provably unfixable: each
 window it contains also occurs in some bounce-cycle state (where the cell
@@ -47,7 +48,8 @@ import numpy as np
 
 from filaments import engine
 from filaments.engine import all_states_matrix, neighborhood_keys, state_ids
-from filaments.rules import bouncer_core_rule
+from filaments.core import EMPTY, Rule, RuleEntry
+from filaments.rules import bouncer_core_rule, serialize_rule
 
 E = 2  # window code for a missing neighbor (states are 0 and 1)
 # A table is the flattened lookup table, a window a flat key into it (neighborhood_keys).
@@ -193,14 +195,25 @@ def complete(protect: int = 40, max_verify: int = 12, seed: int = 0) -> np.ndarr
     return table
 
 
-def main() -> int:
+def completion_lines(table: np.ndarray) -> list[str]:
+    """Rule-file lines of the table's flips outside the core, in window order."""
+    entries = []
+    for w in sorted(set(admissible_windows()) - core_flips()):
+        c, l2, l1, r1, r2 = (EMPTY if v == E else v for v in window(w))
+        if table[w] != c:
+            entries.append(RuleEntry(c, (l2, l1), (r1, r2), int(table[w])))
+    # serialize_rule writes the three headers and a blank line before the entries.
+    return serialize_rule(Rule("completion", 2, 2, False, tuple(entries))).splitlines()[4:]
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--protect", type=int, default=40,
                         help="pin windows from cycles up to this length (default 40)")
     parser.add_argument("--max-verify", type=int, default=12,
                         help="verify convergence for all states up to this length")
     parser.add_argument("--seed", type=int, default=0, help="tie-break seed")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     table = complete(args.protect, args.max_verify, args.seed)
 
@@ -222,20 +235,12 @@ def main() -> int:
     print(f"cycle preserved for n in 2..{args.protect}: {preserved}")
 
     if score == 0:
-        print("\ncompletion entries (all flips outside the core), for rules.py:")
-        names = {0: "0", 1: "1", E: "EMPTY"}
-        outside = sorted(set(admissible_windows()) - core_flips())
-        flips = 0
-        for w in outside:
-            c, l2, l1, r1, r2 = window(w)
-            out = int(table[w])
-            if out != c:
-                flips += 1
-                print(f"    RuleEntry({c}, ({names[l2]}, {names[l1]}), "
-                      f"({names[r1]}, {names[r2]}), {out}),")
-        free = set(outside) - pinned_windows(args.protect).keys()
+        lines = completion_lines(table)
+        print("\ncompletion rows (all flips outside the core), for src/filaments/data/bouncer.rule:")
+        print("\n".join(lines))
+        free = set(admissible_windows()) - core_flips() - pinned_windows(args.protect).keys()
         holds = sum(1 for w in free if int(table[w]) == window(w)[0])
-        print(f"# completion flips: {flips} "
+        print(f"# completion flips: {len(lines)} "
               f"(greedy left {holds} of {len(free)} free windows on hold)")
         return 0
     return 1

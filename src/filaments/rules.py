@@ -1,20 +1,14 @@
 """Rule catalogue, structural classification, and a textual rule-file format.
 
-The catalogue holds five families of hand-built rules:
-
-* ``clock_rule(s)``: the leftmost cell counts mod ``s`` and everyone else
-  copies (left neighbor + 1) mod ``s``; the whole filament ends up counting
-  in unison after at most ``n`` steps.
-* ``oblivious_example_rule()``: a two-state rule whose state 1 always falls
-  to 0 no matter the input; the canonical uninteresting automaton.
-* ``bouncer_rule()``: a two-state radius-2 rule that bounces a zero back
-  and forth along the filament forever. ``bouncer_core_rule()`` is the
-  hand-written kernel responsible for the bounce itself;
-  ``bouncer_rule()`` adds machine-derived entries so that arbitrary
-  starting states fall into the bounce as well.
-* ``automaton_i()`` / ``automaton_ii()``: symmetric three-state rules whose
-  filaments either die out or settle into a perpetual sweep cycle, used by
-  the census and population machinery.
+The catalogue's fixed rules are the text files in the package's ``data/``
+directory: each file is its rule's one definition, and its comments say how
+the rule works. ``automaton_i()`` and ``automaton_ii()`` (three-state sweep
+automata, whose filaments die out or settle into a perpetual sweep cycle),
+``bouncer_rule()`` (a two-state radius-2 rule that bounces a zero along the
+filament forever; ``bouncer_core_rule()`` is its hand-written kernel) and
+``oblivious_example_rule()`` (the canonical uninteresting rule) load them.
+``clock_rule(s)`` is built in code, since it is parametric in ``s``;
+``data/clock-2.rule`` and ``data/clock-3.rule`` are two of its rules.
 
 ``classify_rule`` computes the structural properties that separate rules
 worth simulating from degenerate ones: a rule is *oblivious* when some
@@ -70,6 +64,9 @@ class RuleParseError(ValueError):
 # -- catalogue ----------------------------------------------------------------
 
 
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def clock_rule(s: int) -> Rule:
     """Counting rule with ``s`` states: leftmost increments, others copy left+1.
 
@@ -87,146 +84,34 @@ def clock_rule(s: int) -> Rule:
     return Rule(f"clock-{s}", s, 1, symmetric=False, entries=tuple(entries))
 
 
-def oblivious_example_rule() -> Rule:
-    """Two-state rule whose state 1 unconditionally decays to 0.
+def _shipped(name: str) -> Rule:
+    """The catalogue rule defined by the package data file ``data/<name>.rule``."""
+    return load_rule(os.path.join(_DATA_DIR, f"{name}.rule"))
 
-    State 0 copies the OR of its neighbors, treating a missing neighbor
-    as 0; state 1 maps to 0 under every input, which makes the rule
-    oblivious and its filaments flicker with period 2 forever.
-    """
-    entries = [
-        RuleEntry(0, (0,), (0,), 0),
-        RuleEntry(0, (0,), (1,), 1),
-        RuleEntry(0, (0,), (EMPTY,), 0),
-        RuleEntry(0, (1,), (0,), 1),
-        RuleEntry(0, (1,), (1,), 1),
-        RuleEntry(0, (1,), (EMPTY,), 1),
-        RuleEntry(0, (EMPTY,), (0,), 0),
-        RuleEntry(0, (EMPTY,), (1,), 1),
-        RuleEntry(1, (ANY,), (ANY,), 0),
-        RuleEntry(1, (ANY,), (EMPTY,), 0),
-        RuleEntry(1, (EMPTY,), (ANY,), 0),
-        RuleEntry(1, (EMPTY,), (EMPTY,), 0),
-    ]
-    return Rule("oblivious-example", 2, 1, symmetric=False, entries=tuple(entries))
+
+def oblivious_example_rule() -> Rule:
+    """Two-state rule whose state 1 unconditionally decays to 0."""
+    return _shipped("oblivious-example")
 
 
 def automaton_i() -> Rule:
-    """Symmetric 3-state rule with a six-sweep normal cycle.
-
-    Bulk entries rotate a cell toward a neighbor one step ahead of it
-    (0 next to a 1 becomes 1, and so on cyclically); end entries reflect
-    the sweep by jumping two steps instead. Unmatched inputs hold.
-    """
-    entries = [
-        RuleEntry(0, (ANY,), (1,), 1),
-        RuleEntry(0, (EMPTY,), (1,), 2),
-        RuleEntry(1, (ANY,), (2,), 2),
-        RuleEntry(1, (EMPTY,), (2,), 0),
-        RuleEntry(2, (ANY,), (0,), 0),
-        RuleEntry(2, (EMPTY,), (0,), 1),
-    ]
-    return Rule("automaton-i", 3, 1, symmetric=True, entries=tuple(entries))
+    """Symmetric 3-state rule with a six-sweep normal cycle."""
+    return _shipped("automaton-i")
 
 
 def automaton_ii() -> Rule:
-    """Symmetric 3-state rule with a two-sweep normal cycle.
-
-    A sweep of 2's (headed by a single 1) flows right to left, then a
-    sweep of 0's flows left to right. Quiescent states are the all-0
-    string and any string of 1's and 2's only.
-    """
-    entries = [
-        RuleEntry(0, (ANY,), (1,), 1),
-        RuleEntry(1, (ANY,), (0,), 2),
-        RuleEntry(1, (EMPTY,), (1,), 2),
-        RuleEntry(2, (ANY,), (0,), 0),
-        RuleEntry(2, (EMPTY,), (0,), 1),
-    ]
-    return Rule("automaton-ii", 3, 1, symmetric=True, entries=tuple(entries))
-
-
-_BOUNCER_CORE_ENTRIES: tuple[RuleEntry, ...] = (
-    # Left side reads outermost first, right side innermost first.
-    RuleEntry(0, (1, 1), (1, 1), 1),
-    RuleEntry(1, (1, 0), (1, 1), 0),
-    RuleEntry(1, (1, 0), (EMPTY, EMPTY), 0),
-    RuleEntry(1, (1, 1), (0, 0), 0),
-    RuleEntry(0, (1, 0), (EMPTY, EMPTY), 1),
-    RuleEntry(0, (1, 0), (1, EMPTY), 1),
-    RuleEntry(0, (1, 0), (1, 1), 1),
-    RuleEntry(1, (EMPTY, 1), (0, 0), 0),
-    RuleEntry(1, (EMPTY, EMPTY), (0, 0), 0),
-    RuleEntry(0, (EMPTY, EMPTY), (1, 1), 1),
-    RuleEntry(0, (EMPTY, 0), (1, 1), 1),
-    RuleEntry(1, (EMPTY, 0), (1, 1), 0),
-    RuleEntry(0, (EMPTY, 1), (1, 1), 1),
-    RuleEntry(1, (1, 0), (1, EMPTY), 0),
-)
-
-# Derived by scripts/derive_bouncer_completion.py (seed 0) and frozen. The
-# entries only touch inputs that never occur inside any bounce cycle up to
-# length 40, so the core behavior is untouched. They encode three behaviors:
-# the right edge of a 00+ string retracts (strings drift left and drain),
-# a 1 is claimed by a 00 pair on its right or by an isolated 0 on its left,
-# and a 1 just left of a lone 0 at the right wall turns it into a pair.
-# The last three entries live on windows that only fit filaments of length
-# two or three; they drain the small-length stragglers ([10], [11], [110])
-# into the short bounce cycles. For every length >= 3 the all-1's state
-# stays fixed: each window it contains also occurs in a bounce-cycle state
-# where the cell holds, so no completion can change it.
-_BOUNCER_COMPLETION_ENTRIES: tuple[RuleEntry, ...] = (
-    RuleEntry(0, (0, 0), (1, 0), 1),
-    RuleEntry(0, (0, 0), (1, 1), 1),
-    RuleEntry(0, (0, 0), (1, EMPTY), 1),
-    RuleEntry(0, (0, 0), (EMPTY, EMPTY), 1),
-    RuleEntry(0, (1, 0), (1, 0), 1),
-    RuleEntry(0, (EMPTY, 0), (1, 0), 1),
-    RuleEntry(0, (EMPTY, 0), (1, EMPTY), 1),
-    RuleEntry(0, (EMPTY, 0), (EMPTY, EMPTY), 1),
-    RuleEntry(1, (0, 0), (0, 0), 0),
-    RuleEntry(1, (0, 1), (0, 0), 0),
-    RuleEntry(1, (1, 0), (0, 0), 0),
-    RuleEntry(1, (1, 0), (0, 1), 0),
-    RuleEntry(1, (1, 0), (0, EMPTY), 0),
-    RuleEntry(1, (1, 0), (1, 0), 0),
-    RuleEntry(1, (1, 1), (0, EMPTY), 0),
-    RuleEntry(1, (EMPTY, 0), (0, 0), 0),
-    RuleEntry(1, (EMPTY, 0), (0, 1), 0),
-    RuleEntry(1, (EMPTY, 0), (0, EMPTY), 0),
-    RuleEntry(1, (EMPTY, 0), (1, 0), 0),
-    RuleEntry(1, (EMPTY, 0), (1, EMPTY), 0),
-    RuleEntry(1, (EMPTY, 0), (EMPTY, EMPTY), 0),
-    RuleEntry(1, (EMPTY, 1), (0, EMPTY), 0),
-    RuleEntry(1, (EMPTY, 1), (EMPTY, EMPTY), 0),
-    RuleEntry(1, (EMPTY, EMPTY), (0, EMPTY), 0),
-)
+    """Symmetric 3-state rule with a two-sweep normal cycle."""
+    return _shipped("automaton-ii")
 
 
 def bouncer_core_rule() -> Rule:
-    """The hand-written kernel of the bouncer: the bounce cycle itself.
-
-    From a single 0 in a sea of 1's, the 0 runs right, doubles up against
-    the right wall, and the 00 pair runs back left, where one 0 is
-    absorbed; period 2(n-1). The kernel alone does not pull every
-    starting state into this cycle; ``bouncer_rule`` adds entries for that.
-    """
-    return Rule("bouncer-core", 2, 2, symmetric=False, entries=_BOUNCER_CORE_ENTRIES)
+    """The hand-written kernel of the bouncer: the bounce cycle itself."""
+    return _shipped("bouncer-core")
 
 
 def bouncer_rule() -> Rule:
-    """The full bouncer: core entries plus the derived completion set.
-
-    The completion only touches inputs that never occur inside the bounce
-    cycle, so the core behavior is preserved verbatim.
-    """
-    return Rule(
-        "bouncer",
-        2,
-        2,
-        symmetric=False,
-        entries=_BOUNCER_CORE_ENTRIES + _BOUNCER_COMPLETION_ENTRIES,
-    )
+    """The full bouncer: core entries plus the derived completion set."""
+    return _shipped("bouncer")
 
 
 CATALOGUE: dict[str, Callable[[], Rule]] = {
@@ -244,7 +129,7 @@ def rule_named(name: str) -> Rule:
         return CATALOGUE[name]()
     if name.startswith("clock-"):
         suffix = name[len("clock-") :]
-        if suffix.isdigit() and int(suffix) >= 2:
+        if _is_number(suffix) and int(suffix) >= 2:
             return clock_rule(int(suffix))
         raise RuleParseError(f"bad clock spec {name!r}: expected clock-<s> with s >= 2")
     if os.path.exists(name):
@@ -309,6 +194,12 @@ def state_graphs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- textual format -------------------------------------------------------------
 
 
+def _is_number(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only: ``str.isdigit`` alone also takes
+    superscripts, which ``int`` rejects, and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def _format_token(tok: PatternToken) -> str:
     if tok is EMPTY:
         return "E"
@@ -322,7 +213,7 @@ def _parse_token(text: str, num_states: int, lineno: int) -> PatternToken:
         return EMPTY
     if text == "*":
         return ANY
-    if text.isdigit():
+    if _is_number(text):
         value = int(text)
         if value >= num_states:
             raise RuleParseError(
@@ -376,7 +267,7 @@ def parse_rule(text: str, name: str = "parsed") -> Rule:
     if len(headers) < 3:
         raise RuleParseError("missing headers: need states, radius, symmetric")
 
-    if not headers["states"].isdigit() or int(headers["states"]) < 1:
+    if not _is_number(headers["states"]) or int(headers["states"]) < 1:
         raise RuleParseError(f"bad states header {headers['states']!r}")
     num_states = int(headers["states"])
     if headers["radius"] not in ("1", "2"):
@@ -396,7 +287,7 @@ def parse_rule(text: str, name: str = "parsed") -> Rule:
             raise RuleParseError(f"line {lineno}: missing '|'")
         current_text = current_text.strip()
         next_text = next_text.strip()
-        if not current_text.isdigit() or not next_text.isdigit():
+        if not _is_number(current_text) or not _is_number(next_text):
             raise RuleParseError(f"line {lineno}: current and next must be state digits")
         current = int(current_text)
         next_state = int(next_text)
@@ -423,7 +314,5 @@ def parse_rule(text: str, name: str = "parsed") -> Rule:
 
 def load_rule(path: str) -> Rule:
     """Read one rule file; the rule is named after the file stem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_rule(text, name=name)
+    with open(path, encoding="utf-8") as fh:
+        return parse_rule(fh.read(), name=os.path.splitext(os.path.basename(path))[0])

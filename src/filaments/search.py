@@ -208,6 +208,15 @@ class SearchWitness:
     sweeping: bool
 
 
+def _read_only(field: object, dtype: type) -> bool:
+    """Whether ``field`` is an array of ``dtype`` that no array it views, itself included, can write."""
+    if not isinstance(field, np.ndarray) or field.dtype != dtype:
+        return False
+    while isinstance(field, np.ndarray) and not field.flags.writeable:
+        field = field.base
+    return field is None
+
+
 class Witnesses(abc.Sequence):
     """The scan's witnesses as a read-only sequence of ``SearchWitness``.
 
@@ -238,7 +247,9 @@ class Witnesses(abc.Sequence):
         sweeping: np.ndarray,
     ) -> None:
         fields = (rule_index, n, state, period, k_max, travelling, sweeping)
-        columns = tuple(np.array(field, dtype=dtype) for field, dtype in zip(fields, self._DTYPES))
+        # Copied unless read-only in its dtype already, so no caller can write a column.
+        columns = tuple(field if _read_only(field, dtype) else np.array(field, dtype=dtype)
+                        for field, dtype in zip(fields, self._DTYPES))
         if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
             raise ValueError("witness columns must be one-dimensional and of one length")
         for column in columns:
@@ -296,7 +307,9 @@ class SearchVerdict:
     witnesses: Witnesses
     complete: bool
 
-    def report(self, max_witness_lines: int = 20) -> str:
+    _REPORT_WITNESSES = 20  # witness rows printed before "... N more"
+
+    def report(self) -> str:
         lines = [
             "two-state radius-1 rule scan",
             f"lengths: {' '.join(map(str, self.lengths))}",
@@ -312,16 +325,14 @@ class SearchVerdict:
             f"complete: {str(self.complete).lower()}",
             f"witnesses: {len(self.witnesses)}",
         ]
-        for w in self.witnesses[:max_witness_lines]:
-            kind = "sweeping" if w.sweeping else (
-                "travelling" if w.travelling else "stationary"
-            )
+        for w in self.witnesses[: self._REPORT_WITNESSES]:
+            kind = "sweeping" if w.sweeping else "travelling" if w.travelling else "stationary"
             lines.append(
                 f"  rule {w.rule_index} n={w.n} initial {w.initial} "
                 f"period {w.period} k_max {w.k_max} {kind}"
             )
-        if len(self.witnesses) > max_witness_lines:
-            lines.append(f"  ... {len(self.witnesses) - max_witness_lines} more")
+        if len(self.witnesses) > self._REPORT_WITNESSES:
+            lines.append(f"  ... {len(self.witnesses) - self._REPORT_WITNESSES} more")
         return "\n".join(lines) + "\n"
 
 
@@ -619,6 +630,11 @@ def search_type_a(
     members = np.flatnonzero(by_fp & flagged.reshape(1, 256, 1, 256)).astype(np.uint32)
     fp = fingerprint16(members)
     rep, g = rep_index[fp], element[fp]
+    # Gathered column by column (one (6, rules) int64 block measured 5 MB more
+    # peak RSS over repeated scans), and read-only so Witnesses keeps them uncopied.
+    columns = (members, *(column[g, rep] for column in witness))
+    for column in columns:
+        column.flags.writeable = False
     return SearchVerdict(
         lengths=lengths,
         k_a=k_a,
@@ -630,9 +646,7 @@ def search_type_a(
         rules_with_travelling_type_a_cycle=int(rules_per_rep[travelling].sum()),
         rules_with_sweeping_type_a_cycle=int(rules_per_rep[sweeping].sum()),
         per_length=tuple(per_length),
-        # Gathered column by column: over repeated scans, one (6, rules) int64
-        # block measured 5 MB more peak RSS.
-        witnesses=Witnesses(members, *(column[g, rep] for column in witness)),
+        witnesses=Witnesses(*columns),
         complete=all(kind == "exhaustive" for _, kind in coverage),
     )
 
@@ -764,7 +778,7 @@ def _sweep_tables(picks: np.ndarray) -> np.ndarray:
     return _sweep_planes()[np.arange(3), picks[:, 0], picks[:, 1]]
 
 
-def sweep_rule(params: SweepParams, name: str = "sweep-candidate") -> Rule:
+def sweep_rule(params: SweepParams) -> Rule:
     """Build the symmetric Rule a parameter set denotes."""
     entries = []
     for c in range(3):
@@ -774,13 +788,7 @@ def sweep_rule(params: SweepParams, name: str = "sweep-candidate") -> Rule:
         if params.end[c] is not None:
             u, z = params.end[c]
             entries.append(RuleEntry(c, (EMPTY,), (u,), z))
-    return Rule(
-        name=name,
-        num_states=3,
-        radius=1,
-        symmetric=True,
-        entries=tuple(entries),
-    )
+    return Rule("sweep-candidate", 3, 1, symmetric=True, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -808,7 +816,9 @@ class HuntResult:
     candidates_stable: int
     viable: tuple[HuntCandidate, ...]
 
-    def report(self, max_lines: int = 40) -> str:
+    _REPORT_VIABLE = 40  # viable rules printed before "... N more"
+
+    def report(self) -> str:
         lines = [
             "three-state viability hunt",
             f"space: {self.space}",
@@ -817,14 +827,14 @@ class HuntResult:
             f"candidates_interesting: {self.candidates_interesting}",
             f"viable: {len(self.viable)}",
         ]
-        for cand in self.viable[:max_lines]:
+        for cand in self.viable[: self._REPORT_VIABLE]:
             if cand.params is not None:
                 where = f"bulk={cand.params.bulk} end={cand.params.end}"
             else:
                 where = f"table={cand.table}"
             lines.append(f"  {where} stationary_live={cand.stationary_live}")
-        if len(self.viable) > max_lines:
-            lines.append(f"  ... {len(self.viable) - max_lines} more")
+        if len(self.viable) > self._REPORT_VIABLE:
+            lines.append(f"  ... {len(self.viable) - self._REPORT_VIABLE} more")
         return "\n".join(lines) + "\n"
 
 

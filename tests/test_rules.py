@@ -1,6 +1,7 @@
 """Catalogue rules, structural classification, and the textual rule format."""
 
 import glob
+import hashlib
 import os
 
 import numpy as np
@@ -163,6 +164,38 @@ def test_catalogue_names_resolve():
     assert rule_named("clock-5").num_states == 5
 
 
+# (entry count, sha256 of lookup_table.tobytes()) of each rule defined by a
+# shipped file, as its builder in code gave them before the files became the
+# catalogue; a silent edit of a file shows here.
+SHIPPED_TABLES = {
+    "automaton-i": (6, "4ce1e889ba7c398cfaf24253228e5ad1e84e99c4e5bed11f58f204cd4d53ef7a"),
+    "automaton-ii": (5, "0fac25f5ff109e7d8eb0a675c571ee2d1292681c952c79e78daa27a4e2336337"),
+    "bouncer": (38, "cf216be757b6001217fdf8ebe68bb1d40322d9702f001aa4f0dd254a676a2dd0"),
+    "bouncer-core": (14, "50de72cf5eb4bbc86bb937301829cc02b286703f673f12bf7c14f28bc56be1cf"),
+    "oblivious-example": (12, "cbf1c52efedff14f2e6b65b2ce8633167b0ce62c7c53907662727b6c26fdb792"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TABLES))
+def test_catalogue_rules_keep_their_frozen_tables(name):
+    rule = CATALOGUE[name]()
+    count, digest = SHIPPED_TABLES[name]
+    assert (len(rule.entries), hashlib.sha256(rule.lookup_table.tobytes()).hexdigest()) == (count, digest)
+
+
+def test_catalogue_is_the_shipped_files_but_the_clocks():
+    stems = {os.path.basename(p)[: -len(".rule")] for p in glob.glob(os.path.join(DATA_DIR, "*.rule"))}
+    assert set(CATALOGUE) == stems - {"clock-2", "clock-3"}
+
+
+def test_catalogue_names_resolve_outside_the_checkout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in CATALOGUE:
+        rule = rule_named(name)
+        assert rule.name == name
+        assert rule == load_rule(os.path.join(DATA_DIR, f"{name}.rule"))
+
+
 def test_rule_named_rejects_unknown():
     with pytest.raises(RuleParseError) as err:
         rule_named("no-such-rule")
@@ -171,6 +204,13 @@ def test_rule_named_rejects_unknown():
         rule_named("clock-1")
     with pytest.raises(RuleParseError):
         rule_named("clock-x")
+
+
+@pytest.mark.parametrize("digit", ["\u00b3", "\u0663"], ids=["superscript-3", "arabic-indic-3"])
+def test_rule_named_rejects_clock_sizes_outside_ascii_digits(digit):
+    # str.isdigit takes both; int() rejects the superscript and reads the Arabic-Indic digit as 3.
+    with pytest.raises(RuleParseError, match="bad clock spec"):
+        rule_named(f"clock-{digit}")
 
 
 def test_rule_named_loads_files(tmp_path):
@@ -239,6 +279,26 @@ def test_parse_rule_reports_line_numbers():
 def test_parse_rule_rejects_malformed_input(text):
     with pytest.raises(RuleParseError):
         parse_rule(text)
+
+
+@pytest.mark.parametrize("digit", ["\u00b9", "\u0661"], ids=["superscript-1", "arabic-indic-1"])
+@pytest.mark.parametrize(
+    "line, want",
+    [
+        ("0 | {} 0 -> 1", "line 5: bad pattern token"),
+        ("{} | 0 0 -> 1", "line 5: current and next must be state digits"),
+        ("0 | 0 0 -> {}", "line 5: current and next must be state digits"),
+        (None, "bad states header"),
+    ],
+    ids=["token", "current", "next", "states"],
+)
+def test_parse_rule_takes_ascii_digits_only(digit, line, want):
+    # A superscript used to raise int()'s bare ValueError, and an Arabic-Indic 1 was read as state 1.
+    states = digit if line is None else "2"
+    text = f"states {states}\nradius 1\nsymmetric false\n\n{(line or '0 | 0 0 -> 1').format(digit)}\n"
+    with pytest.raises(RuleParseError) as err:
+        parse_rule(text)
+    assert str(err.value).startswith(want)
 
 
 @pytest.mark.parametrize("pattern", ["2 * 1 E", "2 E 1 1", "* E * *"])

@@ -1,6 +1,6 @@
 """The experiment scripts: each answers --help, the bouncer derivation
-reproduces the catalogue bouncer, and bench_pairs counts the pairs a change wins
-and runs the seed it is given."""
+reproduces the catalogue bouncer and prints its shipped completion rows, and
+bench_pairs counts the pairs a change wins and runs the seed it is given."""
 
 import importlib.util
 import json
@@ -11,10 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from filaments.rules import bouncer_rule
+from filaments.rules import bouncer_core_rule, bouncer_rule
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), "..", "scripts")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+BOUNCER_FILE = os.path.join(SRC_DIR, "filaments", "data", "bouncer.rule")
 
 
 def _load_script(name):
@@ -28,6 +29,20 @@ def _load_script(name):
 def test_bouncer_derivation_reproduces_the_catalogue_bouncer():
     table = _load_script("derive_bouncer_completion").complete()
     assert np.array_equal(table, bouncer_rule().lookup_table.ravel())
+
+
+def test_bouncer_derivation_prints_the_shipped_completion_rows(capsys):
+    assert _load_script("derive_bouncer_completion").main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("completion rows (all flips outside the core), for src/filaments/data/bouncer.rule:")
+    printed = out[head + 1 : -1]
+    assert out[-1].startswith(f"# completion flips: {len(printed)} ")
+    with open(BOUNCER_FILE, encoding="utf-8") as fh:
+        rows = [line for line in fh.read().splitlines() if "|" in line and not line.startswith("#")]
+    # The shipped file lists the core's rows, then the completion's.
+    core = len(bouncer_core_rule().entries)
+    assert len(rows) == len(bouncer_rule().entries) == core + len(printed)
+    assert rows[core:] == printed
 
 
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCRIPTS_DIR) if f.endswith(".py")))

@@ -486,6 +486,43 @@ def test_witnesses_differ_in_any_one_field(small_verdict):
         assert other != same, change
 
 
+def test_witnesses_copy_only_columns_a_caller_can_still_write(small_verdict, monkeypatch):
+    rows = list(small_verdict.witnesses[:50])
+    fields = zip(*((w.rule_index, w.n, int(w.initial, 2), w.period, w.k_max, w.travelling, w.sweeping) for w in rows))
+    columns = [np.array(field, dtype) for field, dtype in zip(fields, Witnesses._DTYPES)]
+    witnesses = Witnesses(*columns)
+    # The caller's arrays, already in their dtypes, stay writeable, and editing them changes no witness.
+    assert all(column.flags.writeable for column in columns)
+    for column in columns:
+        column.fill(0)
+    assert list(witnesses) == rows
+    # A read-only view of an array the caller can still write is copied too.
+    base = np.array(columns[0])
+    view = base[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(Witnesses(view, *columns[1:])._columns[0], base)
+    # And a read-only column of another dtype is narrowed to its own.
+    wide = base.astype(np.int64)
+    wide.flags.writeable = False
+    assert Witnesses(wide, *columns[1:])._columns[0].dtype == Witnesses._DTYPES[0]
+    # Read-only columns are kept as they are: the scan's own, and a slice's views of them.
+    handed = []
+
+    class Recorded(search.Witnesses):
+        __slots__ = ()
+
+        def __init__(self, *columns):
+            handed.append(columns)
+            super().__init__(*columns)
+
+    monkeypatch.setattr(search, "Witnesses", Recorded)
+    verdict = search_type_a(lengths=(4, 5), rule_indices=range(0, RULE_SPACE_SIZE, 97))
+    assert len(verdict.witnesses) > 0
+    assert all(kept is column for kept, column in zip(verdict.witnesses._columns, handed[0], strict=True))
+    part = verdict.witnesses[3:40:2]
+    assert all(np.shares_memory(kept, column) for kept, column in zip(part._columns, handed[0]))
+
+
 def test_verdict_repr_is_the_tuple_repr(small_verdict):
     witnesses = small_verdict.witnesses
     assert repr(witnesses) == repr(tuple(witnesses))
